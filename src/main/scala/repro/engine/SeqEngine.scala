@@ -20,8 +20,8 @@ final case class RunResult(states: Array[Double], rounds: Int, converged: Boolea
 
 /** Exact sequential engine: Eq. 1 (synchronous / Jacobi) and Eq. 2
   * (asynchronous Gauss–Seidel in a given processing order). This is the
-  * reference implementation the Spark engines are validated against, and the
-  * engine that measures iteration rounds exactly as the paper defines them.
+  * reference the Spark block engine is validated against, and the engine
+  * that measures iteration rounds exactly as the paper defines them.
   */
 object SeqEngine {
 
@@ -37,42 +37,20 @@ object SeqEngine {
     DiGraph.fromEdges(g.numVertices, es.result())
   }
 
-  private def delta(a: Double, b: Double): Double = {
-    val d = math.abs(a - b)
-    if (d.isNaN) 0.0 else d // ∞ vs ∞ — unchanged
-  }
-
   /** Synchronous iteration (Eq. 1): every vertex reads previous-round states. */
   def sync(g0: DiGraph, prog: VertexProgram, source: Int = -1, maxRounds: Int = 100000): RunResult = {
     val g      = prepare(g0, prog)
     val n      = g.numVertices
+    val blk    = Block.of(g, Array.range(0, n))
     val outDeg = Array.tabulate(n)(g.outDegree)
     var x      = Array.tabulate(n)(v => prog.init(v, source))
     var xNew   = new Array[Double](n)
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {
-      var maxDelta = 0.0
-      var v = 0
-      while (v < n) {
-        var acc = prog.identity
-        val inN = g.inNeighbors(v)
-        val nIn = inN.length
-        var i = 0
-        while (i < nIn) {
-          val u = inN(i)
-          acc = prog.gather(acc, x(u), g.inWeight(v, i), outDeg(u))
-          i += 1
-        }
-        val nx = prog.apply(v, x(v), acc, source)
-        val d  = delta(nx, x(v))
-        if (d > maxDelta) maxDelta = d
-        xNew(v) = nx
-        v += 1
-      }
+      converged = Sweep(blk, prog, outDeg, x, xNew, source) <= prog.tol
       val t = x; x = xNew; xNew = t
       rounds += 1
-      converged = maxDelta <= prog.tol
     }
     RunResult(x, rounds, converged)
   }
@@ -86,32 +64,14 @@ object SeqEngine {
     val g = prepare(g0, prog)
     val n = g.numVertices
     require(order.n == n, s"order size ${order.n} != |V|=$n")
+    val blk    = Block.of(g, order.order)
     val outDeg = Array.tabulate(n)(g.outDegree)
     val x      = Array.tabulate(n)(v => prog.init(v, source))
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {
-      var maxDelta = 0.0
-      var p = 0
-      while (p < n) {
-        val v   = order.order(p)
-        var acc = prog.identity
-        val inN = g.inNeighbors(v)
-        val nIn = inN.length
-        var i = 0
-        while (i < nIn) {
-          val u = inN(i)
-          acc = prog.gather(acc, x(u), g.inWeight(v, i), outDeg(u))
-          i += 1
-        }
-        val nx = prog.apply(v, x(v), acc, source)
-        val d  = delta(nx, x(v))
-        if (d > maxDelta) maxDelta = d
-        x(v) = nx
-        p += 1
-      }
+      converged = Sweep(blk, prog, outDeg, x, x, source) <= prog.tol
       rounds += 1
-      converged = maxDelta <= prog.tol
     }
     RunResult(x, rounds, converged)
   }

@@ -4,17 +4,6 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.graph.DiGraph
 import repro.order.VertexOrder
 
-/** One contiguous ordinal block: vertices in processing order with their
-  * in-adjacency in CSR form (`off`/`adj`/`wgt` aligned with `vids`).
-  */
-final case class Block(
-    bid: Int,
-    vids: Array[Int],
-    off: Array[Int],
-    adj: Array[Int],
-    wgt: Array[Double],
-)
-
 /** Distributed adaptation of the paper's asynchronous mode (Eq. 2).
   *
   * The processing order is cut into `numBlocks` contiguous ordinal ranges,
@@ -40,30 +29,11 @@ object SparkBlockAsyncEngine {
     val g = SeqEngine.prepare(g0, prog)
     val n = g.numVertices
     require(order.n == n, s"order size ${order.n} != |V|=$n")
-    val nb = math.max(1, math.min(numBlocks, math.max(1, n)))
-
+    val nb = math.max(1, math.min(numBlocks, n))
     val bs = (0 until nb).map { b =>
       val lo = (b.toLong * n / nb).toInt
       val hi = ((b + 1).toLong * n / nb).toInt
-      val vids = java.util.Arrays.copyOfRange(order.order, lo, hi)
-      val off  = new Array[Int](vids.length + 1)
-      var i = 0
-      while (i < vids.length) { off(i + 1) = off(i) + g.inDegree(vids(i)); i += 1 }
-      val adj = new Array[Int](off(vids.length))
-      val wgt = new Array[Double](off(vids.length))
-      i = 0
-      while (i < vids.length) {
-        val v   = vids(i)
-        val inN = g.inNeighbors(v)
-        var j = 0
-        while (j < inN.length) {
-          adj(off(i) + j) = inN(j)
-          wgt(off(i) + j) = g.inWeight(v, j)
-          j += 1
-        }
-        i += 1
-      }
-      Block(b, vids, off, adj, wgt)
+      Block.of(g, java.util.Arrays.copyOfRange(order.order, lo, hi), b)
     }
     (spark.createDataset(bs).repartition(nb).cache(), g)
   }
@@ -81,8 +51,7 @@ object SparkBlockAsyncEngine {
                                   source: Int, maxRounds: Int): RunResult = {
     import spark.implicits._
     val n      = g.numVertices
-    val outDeg = Array.tabulate(n)(g.outDegree)
-    val bcDeg  = spark.sparkContext.broadcast(outDeg)
+    val bcDeg  = spark.sparkContext.broadcast(Array.tabulate(n)(g.outDegree))
     var x      = Array.tabulate(n)(v => prog.init(v, source))
     var rounds = 0
     var converged = false
@@ -90,33 +59,10 @@ object SparkBlockAsyncEngine {
       val bcX = spark.sparkContext.broadcast(x)
       val swept: Array[(Array[Int], Array[Double], Double)] = ds
         .map { blk =>
-          val prev  = bcX.value
-          val degs  = bcDeg.value
-          // local copy: in-block vertices read updated values once processed
-          val local = new java.util.HashMap[Int, java.lang.Double]()
-          var maxDelta = 0.0
-          val out = new Array[Double](blk.vids.length)
-          var i = 0
-          while (i < blk.vids.length) {
-            val v   = blk.vids(i)
-            var acc = prog.identity
-            var j = blk.off(i)
-            while (j < blk.off(i + 1)) {
-              val u  = blk.adj(j)
-              val lu = local.get(u)
-              val xu = if (lu ne null) lu.doubleValue() else prev(u)
-              acc = prog.gather(acc, xu, blk.wgt(j), degs(u))
-              j += 1
-            }
-            val old = { val lv = local.get(v); if (lv ne null) lv.doubleValue() else prev(v) }
-            val nx  = prog.apply(v, old, acc, source)
-            val d   = { val dd = math.abs(nx - old); if (dd.isNaN) 0.0 else dd }
-            if (d > maxDelta) maxDelta = d
-            local.put(v, nx)
-            out(i) = nx
-            i += 1
-          }
-          (blk.vids, out, maxDelta)
+          // private copy: in-block vertices read the states updated before them
+          val local = bcX.value.clone()
+          val d     = Sweep(blk, prog, bcDeg.value, local, local, source)
+          (blk.vids, blk.vids.map(v => local(v)), d)
         }
         .collect()
       bcX.destroy()

@@ -1,0 +1,74 @@
+package repro.engine
+
+import repro.graph.DiGraph
+
+/** Vertices in processing order with their in-adjacency in CSR form
+  * (`off`/`adj`/`wgt` indexed by position in `vids`).
+  */
+final case class Block(
+    bid: Int,
+    vids: Array[Int],
+    off: Array[Int],
+    adj: Array[Int],
+    wgt: Array[Double],
+)
+
+object Block {
+
+  /** The in-edges of `vids`, in that order, from graph `g`. */
+  def of(g: DiGraph, vids: Array[Int], bid: Int = 0): Block = {
+    val off = new Array[Int](vids.length + 1)
+    var i = 0
+    while (i < vids.length) { off(i + 1) = off(i) + g.inDegree(vids(i)); i += 1 }
+    val adj = new Array[Int](off(vids.length))
+    val wgt = new Array[Double](off(vids.length))
+    i = 0
+    while (i < vids.length) {
+      val v   = vids(i)
+      val inN = g.inNeighbors(v)
+      var j = 0
+      while (j < inN.length) {
+        adj(off(i) + j) = inN(j)
+        wgt(off(i) + j) = g.inWeight(v, j)
+        j += 1
+      }
+      i += 1
+    }
+    Block(bid, vids, off, adj, wgt)
+  }
+}
+
+/** The one vertex-update sweep every engine runs (paper Eq. 1 and Eq. 2).
+  *
+  * Each vertex of `blk`, in order, folds its in-neighbours' states from `read`
+  * and stores its new state into `write`. Passing two arrays gives Eq. 1
+  * (every vertex sees previous-round states); passing the same array gives
+  * Eq. 2 (vertices see the states already updated earlier in the sweep).
+  */
+private[engine] object Sweep {
+
+  /** Runs one sweep; returns the max |Δx| over the block's vertices. */
+  def apply(blk: Block, prog: VertexProgram, outDeg: Array[Int],
+            read: Array[Double], write: Array[Double], source: Int): Double = {
+    val vids = blk.vids; val off = blk.off; val adj = blk.adj; val wgt = blk.wgt
+    var maxDelta = 0.0
+    var i = 0
+    while (i < vids.length) {
+      val v   = vids(i)
+      var acc = prog.identity
+      var j   = off(i)
+      while (j < off(i + 1)) {
+        val u = adj(j)
+        acc = prog.gather(acc, read(u), wgt(j), outDeg(u))
+        j += 1
+      }
+      val old = read(v)
+      val nx  = prog.apply(v, old, acc, source)
+      val d   = math.abs(nx - old)
+      if (d > maxDelta) maxDelta = d // ∞ − ∞ is NaN, never greater: unchanged
+      write(v) = nx
+      i += 1
+    }
+    maxDelta
+  }
+}

@@ -1,12 +1,13 @@
 package repro.engine
 
 /** A monotonic vertex update function F(·) (paper §II–III) in gather/apply
-  * form, shared by all engines (sequential, Spark sync, Spark block-async).
+  * form, shared by all engines (sequential sync/async, Spark block-async).
   *
   * One vertex update is `apply(v, old, fold(gather over in-edges), source)`
-  * where the fold starts at [[identity]]. Engines decide *which* neighbor
-  * state version feeds `gather`: previous round (Eq. 1, synchronous) or
-  * current round where available (Eq. 2, asynchronous).
+  * where the fold starts at [[identity]]. All engines run it through one
+  * sweep kernel ([[Sweep]]); they differ only in *which* neighbor state
+  * version feeds `gather`: previous round (Eq. 1, synchronous) or current
+  * round where available (Eq. 2, asynchronous).
   */
 trait VertexProgram extends Serializable {
   def name: String
@@ -39,7 +40,7 @@ trait VertexProgram extends Serializable {
   */
 class PageRank(d: Double = 0.85, val tol: Double = 1e-6) extends VertexProgram {
   val name                          = "PageRank"
-  /** Damping factor, exposed for the SQL translation in SparkSyncEngine. */
+  /** Damping factor, exposed for callers that bound the error left at `tol`. */
   val damping: Double               = d
   val sourced                       = false
   def init(v: Int, s: Int): Double  = 0.0
@@ -88,7 +89,7 @@ object CC extends VertexProgram {
   */
 class PHP(c: Double = 0.85, val tol: Double = 1e-6) extends VertexProgram {
   val name                          = "PHP"
-  /** Penalty factor, exposed for the SQL translation in SparkSyncEngine. */
+  /** Penalty factor, exposed for callers that bound the error left at `tol`. */
   val penalty: Double               = c
   val sourced                       = true
   def init(v: Int, s: Int): Double  = if (v == s) 1.0 else 0.0

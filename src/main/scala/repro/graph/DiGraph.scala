@@ -11,8 +11,10 @@ import org.apache.spark.sql.types._
   * ignores them — p(u) < p(u) is never true).
   *
   * This is the driver-side substrate for the reordering algorithms, which are
-  * inherently sequential preprocessing; the iterative engines consume the
-  * same edges as a Spark DataFrame via [[DiGraph.edgesDF]].
+  * inherently sequential preprocessing, and for the engines, which sweep its
+  * in-adjacency (the block engine ships it to Spark as per-block CSR slices).
+  * [[DiGraph.edgesDF]] exposes the edges as a Spark DataFrame for relational
+  * queries such as the M(·) metric.
   */
 final class DiGraph private[graph] (
     val numVertices: Int,
@@ -128,15 +130,18 @@ object DiGraph {
     fromEdges(numVertices, es.map { case (u, v) => (u, v, 1.0) })
 
   /** Build from a DataFrame with columns src, dst and optional weight.
-    * Vertex ids must be dense `0 until numVertices`.
+    * Vertex ids must be dense `0 until numVertices`; any other id is
+    * rejected before it is narrowed to `Int`.
     */
   def fromDF(df: DataFrame, numVertices: Int): DiGraph = {
     val hasW = df.columns.contains("weight")
+    def id(r: Row, c: String): Int = {
+      val x = r.getAs[Any](c) match { case l: Long => l; case i: Int => i.toLong }
+      require(x >= 0 && x < numVertices, s"$c id $x out of range [0,$numVertices)")
+      x.toInt
+    }
     val es = df.collect().toIndexedSeq.map { r =>
-      val u = r.getAs[Any]("src") match { case l: Long => l.toInt; case i: Int => i }
-      val v = r.getAs[Any]("dst") match { case l: Long => l.toInt; case i: Int => i }
-      val w = if (hasW) r.getAs[Double]("weight") else 1.0
-      (u, v, w)
+      (id(r, "src"), id(r, "dst"), if (hasW) r.getAs[Double]("weight") else 1.0)
     }
     fromEdges(numVertices, es)
   }

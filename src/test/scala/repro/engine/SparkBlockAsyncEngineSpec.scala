@@ -96,4 +96,104 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     }
     ds.unpersist()
   }
+
+  /** Raw bit patterns, so that equal means identical doubles. */
+  private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private def assertSameRun(got: RunResult, want: RunResult, clue: String): Unit = {
+    assert(got.rounds == want.rounds, s"$clue: rounds ${got.rounds} vs ${want.rounds}")
+    assert(got.converged == want.converged, s"$clue: converged")
+    assert(bits(got.states) == bits(want.states), s"$clue: states differ")
+  }
+
+  private def hub(g: DiGraph): Int = (0 until g.numVertices).maxBy(g.outDegree)
+
+  // Every program: |V| blocks equal SeqEngine.sync and 1 block equals SeqEngine.async.
+  Seq[(String, VertexProgram, DiGraph, DiGraph => Int)](
+    ("Fig 2 SSSP", SSSP, fig2, _ => 0),
+    ("SSSP", SSSP, GraphGen.rmat(80, 480, seed = 111), hub),
+    ("PageRank", PageRank, GraphGen.rmat(80, 500, seed = 90), _ => -1),
+    ("PHP", PHP, GraphGen.rmat(60, 360, seed = 92), hub),
+    ("BFS", BFS, GraphGen.rmat(100, 600, seed = 91), hub),
+    ("CC", CC, DiGraph.unweighted(10, Seq((0, 1), (1, 2), (4, 5), (7, 8), (8, 9))), _ => -1),
+    ("SSWP", SSWP, GraphGen.erdosRenyi(50, 300, seed = 93), _ => 0),
+  ).foreach { case (label, prog, g, pick) =>
+    test(s"$label: |V| blocks = sync, 1 block = async, bit for bit") {
+      val src = pick(g)
+      val o   = DefaultOrder.order(g)
+      val all = SparkBlockAsyncEngine.run(spark, g, prog, o, src, numBlocks = g.numVertices)
+      val one = SparkBlockAsyncEngine.run(spark, g, prog, o, src, numBlocks = 1)
+      assert(all.converged, prog.name)
+      assertSameRun(all, SeqEngine.sync(g, prog, src), s"${prog.name} |V| blocks vs sync")
+      assertSameRun(one, SeqEngine.async(g, prog, o, src), s"${prog.name} 1 block vs async")
+    }
+  }
+
+  test("Fig 2 SSSP over |V| blocks gives the Fig 2b distances") {
+    val res = SparkBlockAsyncEngine.run(spark, fig2, SSSP, DefaultOrder.order(fig2), 0, numBlocks = 5)
+    assert(res.states.toSeq == Seq(0.0, 1.0, 3.0, 3.0, 2.0))
+  }
+
+  test("Fig 2 SSSP distances are the same at every block count") {
+    (1 to 5).foreach { nb =>
+      val res = SparkBlockAsyncEngine.run(spark, fig2, SSSP, DefaultOrder.order(fig2), 0, numBlocks = nb)
+      assert(res.states.toSeq == Seq(0.0, 1.0, 3.0, 3.0, 2.0), s"blocks=$nb")
+    }
+  }
+
+  test("SSSP over blocks leaves unreachable vertices at infinity") {
+    val g   = DiGraph.unweighted(4, Seq((0, 1), (2, 3))) // 2, 3 unreachable from 0
+    val res = SparkBlockAsyncEngine.run(spark, g, SSSP, DefaultOrder.order(g), source = 0, numBlocks = 2)
+    assert(res.states(2).isPosInfinity && res.states(3).isPosInfinity)
+    assert(res.states.toSeq == References.dijkstra(g, 0).toSeq)
+  }
+
+  test("maxRounds caps block supersteps and reports non-convergence") {
+    val g   = GraphGen.rmat(50, 300, seed = 94)
+    val res = SparkBlockAsyncEngine.run(spark, g, PageRank, DefaultOrder.order(g), numBlocks = 4, maxRounds = 2)
+    assert(res.rounds == 2 && !res.converged)
+  }
+
+  test("blocks cut from a GoGraph order give Dijkstra distances") {
+    val g   = GraphGen.rmat(60, 360, seed = 110)
+    val src = (0 until 60).maxBy(g.outDegree)
+    val res = SparkBlockAsyncEngine.run(spark, g, SSSP, GoGraph.order(g), src, numBlocks = 4)
+    assert(res.states.toSeq == References.dijkstra(g, src).toSeq)
+  }
+
+  // Degenerate inputs through every caller of the sweep kernel.
+  Seq(
+    ("empty graph", DiGraph.unweighted(0, Seq.empty), -1),
+    ("all-isolated graph", DiGraph.unweighted(6, Seq.empty), 0),
+    ("in-star", DiGraph.unweighted(7, (1 to 6).map(i => (i, 0))), 1),
+    ("out-star", DiGraph.unweighted(7, (1 to 6).map(i => (0, i))), 0),
+  ).foreach { case (label, g, src) =>
+    test(s"$label: sync, async and 1, |V| and |V|+3 blocks agree with the references") {
+      val n = g.numVertices
+      val o = DefaultOrder.order(g)
+      val unsourced = Seq[(VertexProgram, Int, Array[Double])](
+        (PageRank, -1, References.pagerank(g)), (CC, -1, References.components(g)))
+      val sourced =
+        if (n == 0) Nil
+        else Seq[(VertexProgram, Int, Array[Double])](
+          (SSSP, src, References.dijkstra(g, src)), (BFS, src, References.bfsLevels(g, src)))
+      (unsourced ++ sourced).foreach { case (prog, s, ref) =>
+        val sync  = SeqEngine.sync(g, prog, s)
+        val async = SeqEngine.async(g, prog, o, s)
+        val one   = SparkBlockAsyncEngine.run(spark, g, prog, o, s, numBlocks = 1)
+        val all   = SparkBlockAsyncEngine.run(spark, g, prog, o, s, numBlocks = n)
+        val more  = SparkBlockAsyncEngine.run(spark, g, prog, o, s, numBlocks = n + 3)
+        assertSameRun(one, async, s"${prog.name} 1 block vs async")
+        assertSameRun(all, sync, s"${prog.name} |V| blocks vs sync")
+        assertSameRun(more, sync, s"${prog.name} |V|+3 blocks vs sync")
+        Seq(sync, async).foreach { r =>
+          assert(r.converged, prog.name)
+          assert(r.states.length == n)
+          r.states.zip(ref).foreach { case (a, b) =>
+            assert(a == b || math.abs(a - b) < 1e-4, s"${prog.name}: $a vs reference $b")
+          }
+        }
+      }
+    }
+  }
 }

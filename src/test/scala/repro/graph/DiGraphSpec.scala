@@ -129,6 +129,15 @@ class DiGraphSpec extends SparkSpec {
     assert(g2.edges.sortBy(e => (e._1, e._2)) == g.edges.sortBy(e => (e._1, e._2)))
   }
 
+  test("fromDF rejects ids outside [0, numVertices) instead of narrowing them") {
+    import spark.implicits._
+    // 4294967297 = 2^32 + 1 narrows to vertex 1 under Long.toInt
+    Seq((0L, 4294967297L), (0L, 5L), (-1L, 2L)).foreach { e =>
+      val df = Seq(e).toDF("src", "dst")
+      intercept[IllegalArgumentException] { DiGraph.fromDF(df, 5) }
+    }
+  }
+
   test("edgesDF schema is (src, dst, weight)") {
     val df = diamond.edgesDF(spark)
     assert(df.columns.toSeq == Seq("src", "dst", "weight"))
