@@ -43,11 +43,11 @@ class AsyncImpactBench extends SparkSpec {
     val src = Eval.defaultSource(g)
     // |V| blocks would mean |V| Spark partitions; the sync round count is
     // engine-independent (verified in unit tests), so take it sequentially
-    val syncSteps = repro.engine.SeqEngine.sync(g, SSSP, src).rounds
-    val defSteps = SparkBlockAsyncEngine.run(
-      spark, g, SSSP, DefaultOrder.order(g), src, numBlocks = 8).rounds
-    val goSteps = SparkBlockAsyncEngine.run(
-      spark, g, SSSP, repro.core.GoGraph.order(g), src, numBlocks = 8).rounds
+    val syncRun = repro.engine.SeqEngine.sync(g, SSSP, src)
+    val defRun  = SparkBlockAsyncEngine.run(spark, g, SSSP, DefaultOrder.order(g), src, numBlocks = 8)
+    val goRun   = SparkBlockAsyncEngine.run(spark, g, SSSP, repro.core.GoGraph.order(g), src, numBlocks = 8)
+    assert(syncRun.converged && defRun.converged && goRun.converged)
+    val (syncSteps, defSteps, goSteps) = (syncRun.rounds, defRun.rounds, goRun.rounds)
     println(s"Block-async SSSP supersteps on CP: sync(|V| blocks)=$syncSteps, " +
       s"Default(8 blocks)=$defSteps, GoGraph(8 blocks)=$goSteps")
     assert(goSteps <= defSteps && defSteps <= syncSteps)
@@ -55,10 +55,10 @@ class AsyncImpactBench extends SparkSpec {
 
   test("Fig 8 distributed: PageRank supersteps shrink under GoGraph order (WK, 8 blocks)") {
     val g = GraphGen.dataset("WK")
-    val defSteps = SparkBlockAsyncEngine.run(
-      spark, g, PageRank, DefaultOrder.order(g), numBlocks = 8).rounds
-    val goSteps = SparkBlockAsyncEngine.run(
-      spark, g, PageRank, repro.core.GoGraph.order(g), numBlocks = 8).rounds
+    val defRun = SparkBlockAsyncEngine.run(spark, g, PageRank, DefaultOrder.order(g), numBlocks = 8)
+    val goRun  = SparkBlockAsyncEngine.run(spark, g, PageRank, repro.core.GoGraph.order(g), numBlocks = 8)
+    assert(defRun.converged && goRun.converged)
+    val (defSteps, goSteps) = (defRun.rounds, goRun.rounds)
     println(s"Block-async PageRank supersteps on WK: Default=$defSteps GoGraph=$goSteps")
     assert(goSteps <= defSteps)
   }

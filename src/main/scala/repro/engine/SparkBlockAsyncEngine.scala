@@ -1,6 +1,8 @@
 package repro.engine
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.storage.StorageLevel
 import repro.graph.DiGraph
 import repro.order.VertexOrder
 
@@ -22,10 +24,14 @@ import repro.order.VertexOrder
   */
 object SparkBlockAsyncEngine {
 
-  /** Build the block dataset for (graph, order, numBlocks). */
+  /** Derived once, not per block build: derivation reflects over `Block`. */
+  private lazy val blockEncoder: Encoder[Block] = Encoders.product[Block]
+
+  /** Build the block dataset for (graph, order, numBlocks): one block per
+    * partition, partition `b` holding block `b`.
+    */
   def blocks(spark: SparkSession, g0: DiGraph, prog: VertexProgram,
              order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) = {
-    import spark.implicits._
     val g = SeqEngine.prepare(g0, prog)
     val n = g.numVertices
     require(order.n == n, s"order size ${order.n} != |V|=$n")
@@ -35,7 +41,7 @@ object SparkBlockAsyncEngine {
       val hi = ((b + 1).toLong * n / nb).toInt
       Block.of(g, java.util.Arrays.copyOfRange(order.order, lo, hi), b)
     }
-    (spark.createDataset(bs).repartition(nb).cache(), g)
+    (spark.createDataset(bs)(blockEncoder).repartitionByRange(nb, col("bid")).cache(), g)
   }
 
   /** Run to convergence; states returned indexed by vertex id. */
@@ -46,38 +52,49 @@ object SparkBlockAsyncEngine {
     finally ds.unpersist()
   }
 
+  /** Runs supersteps over a block dataset built by [[blocks]] until
+    * convergence or `maxRounds`. The blocks are decoded out of the dataset
+    * once per run into a persisted RDD, and every superstep maps that RDD;
+    * the RDD and the broadcasts are released on return or failure, while
+    * `ds` stays cached for the caller. `order` is unused (the blocks already
+    * carry it); it stays in the signature for the benchmark's call.
+    */
   private[engine] def runOnBlocks(spark: SparkSession, ds: Dataset[Block], g: DiGraph,
                                   prog: VertexProgram, order: VertexOrder,
                                   source: Int, maxRounds: Int): RunResult = {
-    import spark.implicits._
+    val sc     = spark.sparkContext
     val n      = g.numVertices
-    val bcDeg  = spark.sparkContext.broadcast(Array.tabulate(n)(g.outDegree))
+    val rdd    = ds.rdd.persist(StorageLevel.MEMORY_ONLY)
+    val bcDeg  = sc.broadcast(Array.tabulate(n)(g.outDegree))
     var x      = Array.tabulate(n)(v => prog.init(v, source))
     var rounds = 0
     var converged = false
-    while (!converged && rounds < maxRounds) {
-      val bcX = spark.sparkContext.broadcast(x)
-      val swept: Array[(Array[Int], Array[Double], Double)] = ds
-        .map { blk =>
-          // private copy: in-block vertices read the states updated before them
-          val local = bcX.value.clone()
-          val d     = Sweep(blk, prog, bcDeg.value, local, local, source)
-          (blk.vids, blk.vids.map(v => local(v)), d)
+    try {
+      while (!converged && rounds < maxRounds) {
+        val bcX = sc.broadcast(x)
+        val swept: Array[(Array[Int], Array[Double], Double)] =
+          try rdd.map { blk =>
+            // private copy: in-block vertices read the states updated before them
+            val local = bcX.value.clone()
+            val d     = Sweep(blk, prog, bcDeg.value, local, local, source)
+            (blk.vids, blk.vids.map(v => local(v)), d)
+          }.collect()
+          finally bcX.destroy()
+        val next = x.clone()
+        var maxDelta = 0.0
+        swept.foreach { case (vids, vals, d) =>
+          if (d > maxDelta) maxDelta = d
+          var i = 0
+          while (i < vids.length) { next(vids(i)) = vals(i); i += 1 }
         }
-        .collect()
-      bcX.destroy()
-      val next = x.clone()
-      var maxDelta = 0.0
-      swept.foreach { case (vids, vals, d) =>
-        if (d > maxDelta) maxDelta = d
-        var i = 0
-        while (i < vids.length) { next(vids(i)) = vals(i); i += 1 }
+        x = next
+        rounds += 1
+        converged = maxDelta <= prog.tol
       }
-      x = next
-      rounds += 1
-      converged = maxDelta <= prog.tol
+      RunResult(x, rounds, converged)
+    } finally {
+      bcDeg.destroy()
+      rdd.unpersist()
     }
-    bcDeg.destroy()
-    RunResult(x, rounds, converged)
   }
 }

@@ -38,6 +38,12 @@ object Eval {
   def defaultSource(g: DiGraph): Int =
     (0 until g.numVertices).maxBy(v => (g.outDegree(v), -v))
 
+  /** A run whose rounds or time a table reports must have converged. */
+  private def converged(res: RunResult, what: => String): RunResult = {
+    require(res.converged, s"$what did not converge in ${res.rounds} rounds")
+    res
+  }
+
   // ------------------------------------------------------------------
   // Table I — datasets
   // ------------------------------------------------------------------
@@ -80,7 +86,7 @@ object Eval {
       val o = r.order(g)
       val rounds = algos.map { prog =>
         val src = if (prog.sourced) source else -1
-        prog.name -> SeqEngine.async(g, prog, o, src).rounds
+        prog.name -> converged(SeqEngine.async(g, prog, o, src), s"${r.name} ${prog.name}").rounds
       }.toMap
       TableIIRow(r.name, Metric.positiveEdges(g, o), Metric.ratio(g, o), rounds)
     }
@@ -117,7 +123,7 @@ object Eval {
     val idOrder = repro.order.VertexOrder.identity(g.numVertices)
     SeqEngine.async(g, prog, idOrder, src) // warmup
     val t0  = System.nanoTime()
-    val res = SeqEngine.async(g, prog, idOrder, src)
+    val res = converged(SeqEngine.async(g, prog, idOrder, src), s"async ${prog.name}")
     PerfCell((System.nanoTime() - t0) / 1e6, res.rounds)
   }
 
@@ -171,7 +177,7 @@ object Eval {
         val src = if (prog.sourced) source else -1
         SeqEngine.sync(g, prog, src) // warmup
         val t0   = System.nanoTime()
-        val sRes = SeqEngine.sync(g, prog, src)
+        val sRes = converged(SeqEngine.sync(g, prog, src), s"$name sync ${prog.name}")
         val sCell = PerfCell((System.nanoTime() - t0) / 1e6, sRes.rounds)
         AsyncImpactRow(name, prog.name,
           sCell,
@@ -328,7 +334,7 @@ object Eval {
   def convergence(g: DiGraph, prog: VertexProgram, rounds: Int,
                   methods: Seq[Reorder] = Orders.competitors): Seq[ConvergenceRow] = {
     val source = if (prog.sourced) defaultSource(g) else -1
-    val star   = SeqEngine.sync(g, prog, source).finiteSum
+    val star   = converged(SeqEngine.sync(g, prog, source), s"sync ${prog.name}").finiteSum
     methods.map { r =>
       val o = r.order(g)
       val dists = (1 to rounds).map { k =>

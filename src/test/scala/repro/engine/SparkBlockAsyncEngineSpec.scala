@@ -196,4 +196,55 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
       }
     }
   }
+
+  test("every partition of the block dataset holds exactly one block, in bid order") {
+    val g = GraphGen.rmat(40, 240, seed = 112)
+    val o = DefaultOrder.order(g)
+    Seq(1, 4, 8, 16, g.numVertices).foreach { nb =>
+      val (ds, _) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, nb)
+      try {
+        val bids = ds.rdd.glom().map(_.map(_.bid).toSeq).collect().toSeq
+        assert(bids == (0 until nb).map(Seq(_)), s"blocks=$nb")
+      } finally ds.unpersist()
+    }
+  }
+
+  private def persisted: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
+
+  test("run leaves no persisted RDD behind: converged, capped and failing runs") {
+    val g = GraphGen.rmat(50, 300, seed = 113)
+    val o = DefaultOrder.order(g)
+    val before = persisted
+    assert(SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = 4).converged)
+    assert(persisted == before, "after a converged run")
+    assert(!SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = 4, maxRounds = 2).converged)
+    assert(persisted == before, "after a run capped by maxRounds")
+    val e = intercept[org.apache.spark.SparkException] {
+      SparkBlockAsyncEngine.run(spark, g, FailingProgram, o, numBlocks = 4)
+    }
+    assert(e.getMessage.contains(FailingProgram.message))
+    assert(persisted == before, "after a failing run")
+  }
+
+  test("runOnBlocks twice on one block dataset gives identical bits and keeps it cached") {
+    val g = GraphGen.rmat(60, 360, seed = 114)
+    val o = VertexOrder.fromOrder(GraphGen.randomPermutation(60, seed = 115))
+    val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, 4)
+    try {
+      val first     = SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, PageRank, o, -1, 100000)
+      val afterOne  = persisted
+      val second    = SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, PageRank, o, -1, 100000)
+      assert(first.converged)
+      assertSameRun(second, first, "second run on the same blocks")
+      assert(persisted == afterOne, "the second run leaves no persisted RDD behind")
+      assert(ds.storageLevel.useMemory, "the caller's block dataset is still cached")
+    } finally ds.unpersist()
+  }
+}
+
+/** PageRank whose update throws inside the block tasks. */
+private object FailingProgram extends PageRank(0.85, 1e-6) {
+  val message = "vertex update failed on purpose"
+  override def apply(v: Int, old: Double, acc: Double, source: Int): Double =
+    throw new IllegalStateException(message)
 }

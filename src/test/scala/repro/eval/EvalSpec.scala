@@ -118,4 +118,17 @@ class EvalSpec extends AnyFunSuite {
     assert(out.startsWith("== t =="))
     assert(out.linesIterator.size == 5)
   }
+
+  test("tableII rejects a run that does not converge") {
+    val g = repro.graph.DiGraph.unweighted(3, Seq((0, 1), (1, 2)))
+    val e = intercept[IllegalArgumentException] {
+      Eval.tableII(g, methods = Seq(repro.order.DefaultOrder), algos = Seq(Diverging))
+    }
+    assert(e.getMessage.contains("did not converge"))
+  }
+}
+
+/** PageRank variant whose states grow without bound, so it never converges. */
+private object Diverging extends PageRank(0.85, 1e-6) {
+  override def apply(v: Int, old: Double, acc: Double, source: Int): Double = old + 1.0
 }
