@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.graph.DiGraph
 import repro.order.{Reorder, VertexOrder}
 import repro.partition.{Partitioner, RabbitPartition}
@@ -10,29 +9,28 @@ import repro.partition.{Partitioner, RabbitPartition}
   * @param hdFraction   fraction of vertices extracted as high-degree
   *                     (paper's rule of thumb: top 0.2%)
   * @param partitioner  divide-phase method (paper default: Rabbit-Partition)
-  * @param targetPartSize advisory subgraph size handed to balanced
-  *                     partitioners that need an explicit k
   */
 final case class GoGraphConfig(
     hdFraction: Double = 0.002,
     partitioner: Partitioner = RabbitPartition,
-    targetPartSize: Int = 1024,
 )
 
 /** GoGraph (the paper's contribution, Algorithm 1).
   *
   * Divide: extract the top `hdFraction` high-degree vertices and their edges;
-  * vertices left with no remaining edges become isolated; the rest is split
-  * into subgraphs by `partitioner`. Conquer: vertices inside each subgraph
-  * are greedily inserted (BFS from the minimum-in-degree seed) at the
+  * vertices left with no remaining edges become isolated; the rest, G', is
+  * split into subgraphs by `partitioner`. Conquer: each subgraph, as its own
+  * graph, is greedily inserted (BFS from the minimum-in-degree seed) at the
   * position maximizing the positive-edge count ([[ValInserter]]). Combine:
-  * subgraphs become super-vertices whose edge weights are inter-subgraph
-  * edge counts, ordered with the same insertion procedure; the super order is
-  * spliced, then high-degree and finally isolated vertices are inserted into
-  * the global order, again maximizing M(·).
+  * the same routine orders G' contracted by subgraph (parallel edges are the
+  * weights); the orders are spliced, then high-degree and finally isolated
+  * vertices are inserted into the global order, again maximizing M(·).
   */
 class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
   val name = "GoGraph"
+
+  /** Advisory subgraph size: partitioners that honor `k` get |V'| / 1024 parts. */
+  private val TargetPartSize = 1024
 
   def order(g: DiGraph): VertexOrder = {
     val n = g.numVertices
@@ -55,119 +53,98 @@ class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
     val rest = (0 until n).filter(v => !isHd(v) && !isIso(v)).toArray
 
     // ---- Divide: split the remaining graph G' into subgraphs ----
-    val local  = new Array[Int](n) // global -> local id within G'
-    rest.zipWithIndex.foreach { case (v, i) => local(v) = i }
-    val gEdges = mutable.ArrayBuffer.empty[(Int, Int, Double)]
+    // G' keeps exactly the edges between non-HD vertices: both endpoints of
+    // such an edge have residual degree >= 1, so neither is isolated.
+    val local = new Array[Int](n) // global -> local id within G'
+    rest.indices.foreach(i => local(rest(i)) = i)
+    val mP   = residDeg.sum / 2
+    val pSrc = new Array[Int](mP); val pDst = new Array[Int](mP); val pWgt = new Array[Double](mP)
+    var m    = 0
     g.foreachEdge { (u, v, w) =>
-      if (!isHd(u) && !isIso(u) && !isHd(v) && !isIso(v)) gEdges += ((local(u), local(v), w))
+      if (!isHd(u) && !isHd(v)) { pSrc(m) = local(u); pDst(m) = local(v); pWgt(m) = w; m += 1 }
     }
-    val gPrime = DiGraph.fromEdges(rest.length, gEdges.toSeq)
-    val k      = math.max(1, (rest.length + cfg.targetPartSize - 1) / cfg.targetPartSize)
+    val gPrime = DiGraph.fromArrays(rest.length, pSrc, pDst, pWgt)
+    val k      = math.max(1, (rest.length + TargetPartSize - 1) / TargetPartSize)
     val labels = if (rest.isEmpty) Array.empty[Int] else cfg.partitioner.partition(gPrime, k)
-    val numSub = if (rest.isEmpty) 0 else labels.max + 1
+    val numSub = Partitioner.numParts(labels)
 
-    // ---- Conquer: order vertices within each subgraph ----
-    val subOrders = Array.fill(numSub)(Array.empty[Int]) // local ids, in order
-    (0 until numSub).foreach { s =>
-      val members = (0 until rest.length).filter(labels(_) == s)
-      subOrders(s) = orderWithin(gPrime, members, labels, s)
+    // bucket G' by subgraph once; members keep ascending G' id order, so a
+    // subgraph's local ids break ties exactly as G' ids do
+    val (vOff, members) = bucket(labels, numSub)
+    val sub = new Array[Int](rest.length) // G' id -> local id within its subgraph
+    members.indices.foreach(i => sub(members(i)) = i - vOff(labels(members(i))))
+    val eKey = Array.tabulate(mP) { e => // subgraph of an internal edge; numSub if it crosses
+      val s = labels(pSrc(e)); if (labels(pDst(e)) == s) s else numSub
+    }
+    val (eOff, byLabel) = bucket(eKey, numSub + 1)
+
+    // ---- Conquer: order each subgraph as its own induced graph ----
+    val subOrders = Array.tabulate(numSub) { s =>
+      val es = byLabel.slice(eOff(s), eOff(s + 1))
+      insertionOrder(DiGraph.fromArrays(vOff(s + 1) - vOff(s),
+        es.map(e => sub(pSrc(e))), es.map(e => sub(pDst(e))), es.map(pWgt)))
     }
 
-    // ---- Combine: order subgraphs as weighted super-vertices ----
-    val superOrder = orderSupers(gPrime, labels, numSub)
+    // ---- Combine: order G' contracted by subgraph (internal edges become
+    // self-loops, which the build drops) with the same routine ----
+    val superOrder = insertionOrder(DiGraph.fromArrays(numSub, pSrc.map(labels), pDst.map(labels), pWgt))
 
     // splice: subgraph orders concatenated in super-vertex order
     // (Algorithm 1 lines 21–29: adding the previous subgraph's max val is
     // exactly concatenation once vals are normalized to ranks)
     val ins = new ValInserter(n)
-    superOrder.foreach(s => ins.seed(subOrders(s).iterator.map(rest(_))))
+    superOrder.foreach(s => ins.seed(subOrders(s).iterator.map(i => rest(members(vOff(s) + i)))))
 
     // ---- Insert high-degree, then isolated vertices (lines 30–35) ----
-    val hdVerts = byDeg.filter(isHd(_)) // descending degree
-    hdVerts.foreach(v => insertGlobal(g, ins, v))
-    val isoVerts = (0 until n).filter(isIso(_))
-    isoVerts.foreach(v => insertGlobal(g, ins, v))
+    byDeg.filter(isHd(_)).foreach(insertPlaced(g, ins, _)) // descending degree
+    (0 until n).filter(isIso(_)).foreach(insertPlaced(g, ins, _))
 
     VertexOrder.fromOrder(ins.result())
   }
 
-  /** Insert `v` into the global order using its placed neighbors in `g`. */
-  private def insertGlobal(g: DiGraph, ins: ValInserter, v: Int): Unit = {
-    val inN  = g.inNeighbors(v).filter(u => u != v && ins.placed(u)).map(u => (u, 1.0))
-    val outN = g.outNeighbors(v).filter(u => u != v && ins.placed(u)).map(u => (u, 1.0))
-    ins.insert(v, inN, outN)
+  /** Stable counting sort of the indices of `keys` (each in `0 until k`):
+    * (bucket offsets, indices grouped by key in ascending order). */
+  private def bucket(keys: Array[Int], k: Int): (Array[Int], Array[Int]) = {
+    val off = new Array[Int](k + 1)
+    keys.foreach(key => off(key + 1) += 1)
+    (0 until k).foreach(b => off(b + 1) += off(b))
+    val fill = off.clone()
+    val out  = new Array[Int](keys.length)
+    keys.indices.foreach { i => out(fill(keys(i))) = i; fill(keys(i)) += 1 }
+    (off, out)
   }
 
-  /** Order the members of subgraph `s` of `gPrime`: BFS candidate stream
-    * from the minimum-in-degree seed, greedy optimal-position insertion.
-    * Returns local ids in processing order.
+  /** Algorithm 1's insertion procedure on `h`: a BFS candidate stream
+    * (out-neighbors, then in-neighbors, in CSR order) from each unvisited
+    * seed in ascending (in-degree, id) order, each candidate inserted by
+    * [[insertPlaced]]. Every edge counts once, whatever its weight, as in
+    * M(·). Returns `h`'s vertices in the chosen order.
     */
-  private def orderWithin(gPrime: DiGraph, members: Seq[Int], labels: Array[Int], s: Int): Array[Int] = {
-    if (members.isEmpty) return Array.empty
-    val ins     = new ValInserter(gPrime.numVertices)
-    val visited = mutable.HashSet.empty[Int]
-    val queue   = mutable.Queue.empty[Int]
-    def inDegWithin(v: Int): Int = gPrime.inNeighbors(v).count(labels(_) == s)
-    val seeds = members.sortBy(v => (inDegWithin(v), v))
-
-    seeds.foreach { seed =>
-      if (!visited.contains(seed)) {
-        visited += seed; queue.enqueue(seed)
-        while (queue.nonEmpty) {
-          val v = queue.dequeue()
-          val inN = gPrime.inNeighbors(v)
-            .filter(u => labels(u) == s && ins.placed(u)).map(u => (u, 1.0))
-          val outN = gPrime.outNeighbors(v)
-            .filter(u => labels(u) == s && ins.placed(u)).map(u => (u, 1.0))
-          ins.insert(v, inN, outN)
-          val visit = (u: Int) =>
-            if (labels(u) == s && !visited.contains(u)) { visited += u; queue.enqueue(u) }
-          gPrime.outNeighbors(v).foreach(visit)
-          gPrime.inNeighbors(v).foreach(visit)
-        }
+  private def insertionOrder(h: DiGraph): Array[Int] = {
+    val ins     = new ValInserter(h.numVertices)
+    val visited = new Array[Boolean](h.numVertices)
+    val queue   = new Array[Int](h.numVertices) // each vertex is enqueued once
+    var head    = 0; var tail = 0
+    val visit = (u: Int) => if (!visited(u)) { visited(u) = true; queue(tail) = u; tail += 1 }
+    // sortBy is stable, so equal in-degrees stay in ascending id order
+    Array.range(0, h.numVertices).sortBy(h.inDegree).foreach { seed =>
+      visit(seed)
+      while (head < tail) {
+        val v = queue(head); head += 1
+        insertPlaced(h, ins, v)
+        h.outNeighbors(v).foreach(visit)
+        h.inNeighbors(v).foreach(visit)
       }
     }
     ins.result()
   }
 
-  /** Order super-vertices: weighted GetOptVal insertion, BFS candidate
-    * stream from the minimum weighted-in-degree super-vertex.
+  /** Insert `v` against its placed in- and out-neighbors in `h`, one unit
+    * entry per edge ([[ValInserter]] sums parallel edges into weights).
     */
-  private def orderSupers(gPrime: DiGraph, labels: Array[Int], numSub: Int): Array[Int] = {
-    if (numSub == 0) return Array.empty
-    if (numSub == 1) return Array(0)
-    // inter-subgraph edge weights w(si -> sj), i != j
-    val w = mutable.HashMap.empty[(Int, Int), Double]
-    gPrime.foreachEdge { (u, v, _) =>
-      val (su, sv) = (labels(u), labels(v))
-      if (su != sv) w.update((su, sv), w.getOrElse((su, sv), 0.0) + 1.0)
-    }
-    val outAdj = Array.fill(numSub)(mutable.ArrayBuffer.empty[(Int, Double)])
-    val inAdj  = Array.fill(numSub)(mutable.ArrayBuffer.empty[(Int, Double)])
-    w.foreach { case ((si, sj), wt) => outAdj(si) += ((sj, wt)); inAdj(sj) += ((si, wt)) }
-
-    val ins     = new ValInserter(numSub)
-    val visited = mutable.HashSet.empty[Int]
-    val queue   = mutable.Queue.empty[Int]
-    def wInDeg(s: Int): Double = inAdj(s).map(_._2).sum
-    val seeds = (0 until numSub).sortBy(s => (wInDeg(s), s.toDouble))
-
-    seeds.foreach { seed =>
-      if (!visited.contains(seed)) {
-        visited += seed; queue.enqueue(seed)
-        while (queue.nonEmpty) {
-          val sv = queue.dequeue()
-          ins.insert(sv,
-            inAdj(sv).filter(p => ins.placed(p._1)).toSeq,
-            outAdj(sv).filter(p => ins.placed(p._1)).toSeq)
-          val visit = (p: (Int, Double)) =>
-            if (!visited.contains(p._1)) { visited += p._1; queue.enqueue(p._1) }
-          outAdj(sv).foreach(visit)
-          inAdj(sv).foreach(visit)
-        }
-      }
-    }
-    ins.result()
+  private def insertPlaced(h: DiGraph, ins: ValInserter, v: Int): Unit = {
+    def placed(ns: IndexedSeq[Int]) = ns.filter(ins.placed).map(u => (u, 1.0))
+    ins.insert(v, placed(h.inNeighbors(v)), placed(h.outNeighbors(v)))
   }
 }
 

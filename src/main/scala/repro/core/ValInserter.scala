@@ -58,8 +58,8 @@ final class ValInserter(n: Int) {
   }
 
   /** Insert `node`. `inN` are placed in-neighbors with edge weight (u→node),
-    * `outN` placed out-neighbors with weight (node→u); callers pass already
-    * aggregated weights per neighbor (parallel edges summed). Unplaced
+    * `outN` placed out-neighbors with weight (node→u); entries for the same
+    * neighbor are summed (one unit entry per parallel edge works). Unplaced
     * entries are rejected. Returns the number of edges made positive.
     */
   def insert(node: Int, inN: Seq[(Int, Double)], outN: Seq[(Int, Double)]): Double = {

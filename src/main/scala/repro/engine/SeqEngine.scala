@@ -31,10 +31,14 @@ object SeqEngine {
 
   /** Graph with each edge mirrored (weights preserved). */
   def symmetrize(g: DiGraph): DiGraph = {
-    val es = Seq.newBuilder[(Int, Int, Double)]
-    es.sizeHint(2 * g.numEdges)
-    g.foreachEdge { (u, v, w) => es += ((u, v, w)); es += ((v, u, w)) }
-    DiGraph.fromEdges(g.numVertices, es.result())
+    val m   = 2 * g.numEdges
+    val src = new Array[Int](m); val dst = new Array[Int](m); val wgt = new Array[Double](m)
+    var e   = 0
+    g.foreachEdge { (u, v, w) =>
+      src(e) = u; dst(e) = v; src(e + 1) = v; dst(e + 1) = u; wgt(e) = w; wgt(e + 1) = w
+      e += 2
+    }
+    DiGraph.fromArrays(g.numVertices, src, dst, wgt)
   }
 
   /** Synchronous iteration (Eq. 1): every vertex reads previous-round states. */

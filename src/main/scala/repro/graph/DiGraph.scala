@@ -78,10 +78,10 @@ final class DiGraph private[graph] (
   /** Graph with every vertex id `v` replaced by `perm(v)`; same topology. */
   def relabel(perm: Array[Int]): DiGraph = {
     require(perm.length == numVertices, s"perm size ${perm.length} != $numVertices")
-    val es = new Array[(Int, Int, Double)](numEdges)
-    var k  = 0
-    foreachEdge { (u, v, w) => es(k) = (perm(u), perm(v), w); k += 1 }
-    DiGraph.fromEdges(numVertices, es.toIndexedSeq)
+    val src = new Array[Int](numEdges)
+    var u   = 0
+    while (u < numVertices) { java.util.Arrays.fill(src, outOff(u), outOff(u + 1), perm(u)); u += 1 }
+    DiGraph.fromArrays(numVertices, src, outAdj.map(perm), outWgt)
   }
 
   /** Edge list as a DataFrame `(src: long, dst: long, weight: double)`. */
@@ -101,28 +101,46 @@ final class DiGraph private[graph] (
 
 object DiGraph {
 
-  /** Build from an edge triple list; self-loops dropped, endpoints validated. */
-  def fromEdges(numVertices: Int, es: Seq[(Int, Int, Double)]): DiGraph = {
+  /** Build from parallel edge arrays: edge `i` is `src(i) -> dst(i)` with
+    * weight `wgt(i)`. Every endpoint is validated, then self-loops are
+    * dropped; the CSR keeps the input order within each adjacency list.
+    * The arrays are read, not retained.
+    */
+  def fromArrays(numVertices: Int, src: Array[Int], dst: Array[Int], wgt: Array[Double]): DiGraph = {
     require(numVertices >= 0, "numVertices must be >= 0")
-    val kept = es.filter { case (u, v, _) => u != v }
-    kept.foreach { case (u, v, _) =>
-      require(u >= 0 && u < numVertices && v >= 0 && v < numVertices,
-        s"edge ($u,$v) out of range [0,$numVertices)")
-    }
-    val m      = kept.size
+    require(src.length == dst.length && src.length == wgt.length, "edge arrays differ in length")
     val outOff = new Array[Int](numVertices + 1)
     val inOff  = new Array[Int](numVertices + 1)
-    kept.foreach { case (u, v, _) => outOff(u + 1) += 1; inOff(v + 1) += 1 }
+    var e = 0
+    while (e < src.length) {
+      val u = src(e); val v = dst(e)
+      require(u >= 0 && u < numVertices && v >= 0 && v < numVertices,
+        s"edge ($u,$v) out of range [0,$numVertices)")
+      if (u != v) { outOff(u + 1) += 1; inOff(v + 1) += 1 }
+      e += 1
+    }
     var i = 0
     while (i < numVertices) { outOff(i + 1) += outOff(i); inOff(i + 1) += inOff(i); i += 1 }
+    val m      = outOff(numVertices)
     val outAdj = new Array[Int](m); val outW = new Array[Double](m)
     val inAdj  = new Array[Int](m); val inW  = new Array[Double](m)
     val oc     = outOff.clone(); val ic = inOff.clone()
-    kept.foreach { case (u, v, w) =>
-      outAdj(oc(u)) = v; outW(oc(u)) = w; oc(u) += 1
-      inAdj(ic(v))  = u; inW(ic(v))  = w; ic(v) += 1
+    e = 0
+    while (e < src.length) {
+      val u = src(e); val v = dst(e); val w = wgt(e)
+      if (u != v) {
+        outAdj(oc(u)) = v; outW(oc(u)) = w; oc(u) += 1
+        inAdj(ic(v))  = u; inW(ic(v))  = w; ic(v) += 1
+      }
+      e += 1
     }
     new DiGraph(numVertices, outOff, outAdj, outW, inOff, inAdj, inW)
+  }
+
+  /** Build from an edge triple list (see [[fromArrays]]). */
+  def fromEdges(numVertices: Int, es: Seq[(Int, Int, Double)]): DiGraph = {
+    val (src, dst, wgt) = es.toArray.unzip3
+    fromArrays(numVertices, src, dst, wgt)
   }
 
   /** Unweighted convenience builder (all weights 1.0). */
@@ -140,9 +158,8 @@ object DiGraph {
       require(x >= 0 && x < numVertices, s"$c id $x out of range [0,$numVertices)")
       x.toInt
     }
-    val es = df.collect().toIndexedSeq.map { r =>
-      (id(r, "src"), id(r, "dst"), if (hasW) r.getAs[Double]("weight") else 1.0)
-    }
-    fromEdges(numVertices, es)
+    val rows = df.collect()
+    fromArrays(numVertices, rows.map(id(_, "src")), rows.map(id(_, "dst")),
+      rows.map(r => if (hasW) r.getAs[Double]("weight") else 1.0))
   }
 }

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{DiGraph, GraphGen}
 import repro.order._
-import repro.partition.{Fennel, Louvain, MetisLike, RabbitPartition}
+import repro.partition.{Fennel, Louvain, MetisLike, Partitioner, RabbitPartition}
 
 class GoGraphSpec extends AnyFunSuite {
 
@@ -133,6 +133,30 @@ class GoGraphSpec extends AnyFunSuite {
     val o = GoGraph.order(g)
     assert(o.order.sorted.toSeq == (0 until 9))
     assert(Metric.positiveEdges(g, o) == 5L, "chains should be fully positive")
+  }
+
+  test("conquer and combine share one insertion procedure (one part = singletons)") {
+    // one part: the conquer phase orders all of G'; singletons: the combine
+    // phase orders G' itself as the super-graph. Both must agree exactly.
+    val onePart = new Partitioner {
+      val name = "OnePart"
+      def partition(g: DiGraph, k: Int): Array[Int] = new Array[Int](g.numVertices)
+    }
+    val singletons = new Partitioner {
+      val name = "Singletons"
+      def partition(g: DiGraph, k: Int): Array[Int] = Array.range(0, g.numVertices)
+    }
+    val graphs = Seq(
+      "rmat"     -> GraphGen.rmat(400, 3000, seed = 60),
+      "citation" -> GraphGen.citation(2000, 5, seed = 3),
+      "IC"       -> GraphGen.datasetSmall("IC"),
+      "WK"       -> GraphGen.datasetSmall("WK"),
+    )
+    val differ = graphs.collect { case (name, g)
+      if new GoGraphReorder(GoGraphConfig(partitioner = onePart)).order(g).order.toSeq !=
+         new GoGraphReorder(GoGraphConfig(partitioner = singletons)).order(g).order.toSeq => name
+    }
+    assert(differ.isEmpty, s"one part and singletons give different orders on $differ")
   }
 
   test("keeps subgraph members contiguous (combine phase, locality claim)") {

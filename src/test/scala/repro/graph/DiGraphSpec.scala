@@ -96,6 +96,8 @@ class DiGraphSpec extends SparkSpec {
   test("out-of-range endpoints are rejected") {
     intercept[IllegalArgumentException] { DiGraph.unweighted(2, Seq((0, 2))) }
     intercept[IllegalArgumentException] { DiGraph.unweighted(2, Seq((-1, 0))) }
+    intercept[IllegalArgumentException] { DiGraph.unweighted(2, Seq((5, 5))) }
+    intercept[IllegalArgumentException] { DiGraph.unweighted(2, Seq((-1, -1))) }
   }
 
   test("relabel preserves topology under a permutation") {
