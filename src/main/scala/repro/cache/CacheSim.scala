@@ -61,13 +61,12 @@ object CacheSim {
       else { misses += 1; ts(lru) = line; as(lru) = tick }
     }
 
+    val touchState = (u: Int) => touch(o.pos(u).toLong)
     var p = 0
     while (p < o.n) {
       val v = o.order(p)
       touch(p.toLong) // own state at its ordinal position
-      val inN = g.inNeighbors(v)
-      var i = 0
-      while (i < inN.length) { touch(o.pos(inN(i)).toLong); i += 1 }
+      g.foreachIn(v)(touchState)
       p += 1
     }
     SweepStats(accesses, misses)

@@ -70,13 +70,13 @@ class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
 
     // bucket G' by subgraph once; members keep ascending G' id order, so a
     // subgraph's local ids break ties exactly as G' ids do
-    val (vOff, members) = bucket(labels, numSub)
+    val (vOff, members) = Partitioner.bucket(labels, numSub)
     val sub = new Array[Int](rest.length) // G' id -> local id within its subgraph
     members.indices.foreach(i => sub(members(i)) = i - vOff(labels(members(i))))
     val eKey = Array.tabulate(mP) { e => // subgraph of an internal edge; numSub if it crosses
       val s = labels(pSrc(e)); if (labels(pDst(e)) == s) s else numSub
     }
-    val (eOff, byLabel) = bucket(eKey, numSub + 1)
+    val (eOff, byLabel) = Partitioner.bucket(eKey, numSub + 1)
 
     // ---- Conquer: order each subgraph as its own induced graph ----
     val subOrders = Array.tabulate(numSub) { s =>
@@ -102,49 +102,30 @@ class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
     VertexOrder.fromOrder(ins.result())
   }
 
-  /** Stable counting sort of the indices of `keys` (each in `0 until k`):
-    * (bucket offsets, indices grouped by key in ascending order). */
-  private def bucket(keys: Array[Int], k: Int): (Array[Int], Array[Int]) = {
-    val off = new Array[Int](k + 1)
-    keys.foreach(key => off(key + 1) += 1)
-    (0 until k).foreach(b => off(b + 1) += off(b))
-    val fill = off.clone()
-    val out  = new Array[Int](keys.length)
-    keys.indices.foreach { i => out(fill(keys(i))) = i; fill(keys(i)) += 1 }
-    (off, out)
-  }
-
   /** Algorithm 1's insertion procedure on `h`: a BFS candidate stream
-    * (out-neighbors, then in-neighbors, in CSR order) from each unvisited
-    * seed in ascending (in-degree, id) order, each candidate inserted by
+    * ([[DiGraph.bfsOrder]]) from each unvisited seed in ascending
+    * (in-degree, id) order, each candidate inserted by
     * [[insertPlaced]]. Every edge counts once, whatever its weight, as in
     * M(·). Returns `h`'s vertices in the chosen order.
     */
   private def insertionOrder(h: DiGraph): Array[Int] = {
-    val ins     = new ValInserter(h.numVertices)
-    val visited = new Array[Boolean](h.numVertices)
-    val queue   = new Array[Int](h.numVertices) // each vertex is enqueued once
-    var head    = 0; var tail = 0
-    val visit = (u: Int) => if (!visited(u)) { visited(u) = true; queue(tail) = u; tail += 1 }
+    val ins = new ValInserter(h.numVertices)
     // sortBy is stable, so equal in-degrees stay in ascending id order
-    Array.range(0, h.numVertices).sortBy(h.inDegree).foreach { seed =>
-      visit(seed)
-      while (head < tail) {
-        val v = queue(head); head += 1
-        insertPlaced(h, ins, v)
-        h.outNeighbors(v).foreach(visit)
-        h.inNeighbors(v).foreach(visit)
-      }
-    }
+    val seeds = Array.range(0, h.numVertices).sortBy(h.inDegree)
+    h.bfsOrder(seeds)((_, _) => true).foreach(insertPlaced(h, ins, _))
     ins.result()
   }
 
-  /** Insert `v` against its placed in- and out-neighbors in `h`, one unit
-    * entry per edge ([[ValInserter]] sums parallel edges into weights).
+  /** Insert `v` against its placed in- and out-neighbors in `h`, one entry
+    * per edge.
     */
   private def insertPlaced(h: DiGraph, ins: ValInserter, v: Int): Unit = {
-    def placed(ns: IndexedSeq[Int]) = ns.filter(ins.placed).map(u => (u, 1.0))
-    ins.insert(v, placed(h.inNeighbors(v)), placed(h.outNeighbors(v)))
+    def placed(walk: (Int => Unit) => Unit): Array[Int] = {
+      val b = Array.newBuilder[Int]
+      walk(u => if (ins.placed(u)) b += u)
+      b.result()
+    }
+    ins.insert(v, placed(h.foreachIn(v)), placed(h.foreachOut(v)))
   }
 }
 

@@ -1,17 +1,16 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Growing processing order maintained with fractional ranks ("val"s) —
   * the paper's `GetOptVal` (Algorithm 1, lines 1–21) plus insertion.
   *
   * A node's val encodes its ordinal: the final order sorts by (val, id).
   * Inserting a node scans only the positions flanking its already-placed
   * neighbors (M(·) is constant between two consecutive neighbors), keeping
-  * the count of positive edges `pe` incrementally:
-  *   - head position: pe = Σ weights of out-edges to placed nodes;
+  * the count of positive edges `pe` incrementally over one unit entry per
+  * edge (parallel edges count once each):
+  *   - head position: pe = number of out-edges to placed nodes;
   *   - crossing neighbor u (moving from before-u to after-u):
-  *     pe += w_in(u→node) − w_out(node→u).
+  *     pe += #edges u→node − #edges node→u.
   * The chosen val is the midpoint of the flanking neighbors' vals
   * (head: min−STEP, tail: max+STEP). Ties keep the earliest (head-most)
   * maximum, matching the strict `<` update in the paper's line 18 —
@@ -24,7 +23,6 @@ final class ValInserter(n: Int) {
   private val STEP      = 1024.0
   private val vals      = new Array[Double](n)
   private val isPlaced  = new Array[Boolean](n)
-  private var minV      = 0.0
   private var maxV      = 0.0
   private var nPlaced   = 0
 
@@ -45,59 +43,63 @@ final class ValInserter(n: Int) {
   private def place(v: Int, value: Double): Unit = {
     vals(v) = value
     isPlaced(v) = true
-    if (nPlaced == 0) { minV = value; maxV = value }
-    else { if (value < minV) minV = value; if (value > maxV) maxV = value }
+    if (nPlaced == 0 || value > maxV) maxV = value
     nPlaced += 1
+  }
+
+  /** Placed nodes by (val, id): the processing order. */
+  private val byVal: Ordering[Int] = (a, b) => {
+    val c = java.lang.Double.compare(vals(a), vals(b))
+    if (c != 0) c else Integer.compare(a, b)
   }
 
   /** Renumber all placed vals to rank·STEP (precision recovery). */
   private def renormalize(): Unit = {
-    val placedNodes = (0 until n).filter(isPlaced).sortBy(v => (vals(v), v))
-    placedNodes.zipWithIndex.foreach { case (v, r) => vals(v) = r * STEP }
-    if (placedNodes.nonEmpty) { minV = 0.0; maxV = (placedNodes.size - 1) * STEP }
+    val placedNodes = result()
+    placedNodes.indices.foreach(r => vals(placedNodes(r)) = r * STEP)
+    if (placedNodes.nonEmpty) maxV = (placedNodes.length - 1) * STEP
   }
 
-  /** Insert `node`. `inN` are placed in-neighbors with edge weight (u→node),
-    * `outN` placed out-neighbors with weight (node→u); entries for the same
-    * neighbor are summed (one unit entry per parallel edge works). Unplaced
-    * entries are rejected. Returns the number of edges made positive.
+  /** Insert `node` against its placed neighbors: `inN` has one entry per
+    * edge u→node, `outN` one per edge node→u (parallel edges repeat the
+    * neighbor). Unplaced entries are rejected. Returns the number of edges
+    * made positive.
     */
-  def insert(node: Int, inN: Seq[(Int, Double)], outN: Seq[(Int, Double)]): Double = {
+  def insert(node: Int, inN: Array[Int], outN: Array[Int]): Int = {
     require(!isPlaced(node), s"node $node already placed")
-    (inN ++ outN).foreach { case (u, _) => require(isPlaced(u), s"neighbor $u not placed") }
+    (inN ++ outN).foreach(u => require(isPlaced(u), s"neighbor $u not placed"))
 
     if (inN.isEmpty && outN.isEmpty) {
       // no placed neighbors: append to the tail (position is irrelevant to M)
       place(node, if (nPlaced == 0) 0.0 else maxV + STEP)
-      return 0.0
+      return 0
     }
 
-    val wIn  = mutable.HashMap.empty[Int, Double]
-    val wOut = mutable.HashMap.empty[Int, Double]
-    inN.foreach { case (u, w) => wIn.update(u, wIn.getOrElse(u, 0.0) + w) }
-    outN.foreach { case (u, w) => wOut.update(u, wOut.getOrElse(u, 0.0) + w) }
-    val nbrs = (wIn.keySet ++ wOut.keySet).toArray.sortBy(u => (vals(u), u))
+    // entries sorted by neighbor (val, id); an out-entry u is stored as ~u,
+    // so the entries of one neighbor are adjacent
+    def nbr(e: Int): Int = if (e < 0) ~e else e
+    val es = (inN ++ outN.map(~_)).sorted(byVal.on(nbr))
 
-    var pe      = wOut.valuesIterator.sum // before all neighbors: out-edges positive
+    var pe      = outN.length // before all neighbors: out-edges positive
     var bestPe  = pe
-    var bestIdx = -1                      // -1 = head (before nbrs(0))
+    var bestEnd = -1          // last entry before the chosen position; -1 = head
     var i = 0
-    while (i < nbrs.length) {
-      val u = nbrs(i)
-      pe += wIn.getOrElse(u, 0.0) - wOut.getOrElse(u, 0.0)
-      if (pe > bestPe) { bestPe = pe; bestIdx = i }
+    while (i < es.length) {
+      pe += (if (es(i) < 0) -1 else 1)
       i += 1
+      // M changes only between distinct neighbors
+      if ((i == es.length || nbr(es(i)) != nbr(es(i - 1))) && pe > bestPe) { bestPe = pe; bestEnd = i - 1 }
     }
 
     val value =
-      if (bestIdx == -1) vals(nbrs(0)) - STEP
-      else if (bestIdx == nbrs.length - 1) vals(nbrs(bestIdx)) + STEP
+      if (bestEnd == -1) vals(nbr(es(0))) - STEP
+      else if (bestEnd == es.length - 1) vals(nbr(es(bestEnd))) + STEP
       else {
-        var lo = vals(nbrs(bestIdx)); var hi = vals(nbrs(bestIdx + 1))
+        var lo = vals(nbr(es(bestEnd))); var hi = vals(nbr(es(bestEnd + 1)))
         var mid = (lo + hi) / 2.0
         if (!(lo < mid && mid < hi)) {
           renormalize()
-          lo = vals(nbrs(bestIdx)); hi = vals(nbrs(bestIdx + 1))
+          lo = vals(nbr(es(bestEnd))); hi = vals(nbr(es(bestEnd + 1)))
           mid = (lo + hi) / 2.0
         }
         mid
@@ -107,6 +109,5 @@ final class ValInserter(n: Int) {
   }
 
   /** Placed nodes sorted by (val, id) — the processing order so far. */
-  def result(): Array[Int] =
-    (0 until n).filter(isPlaced).sortBy(v => (vals(v), v)).toArray
+  def result(): Array[Int] = Array.range(0, n).filter(isPlaced).sorted(byVal)
 }

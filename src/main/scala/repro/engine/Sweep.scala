@@ -23,17 +23,7 @@ object Block {
     val adj = new Array[Int](off(vids.length))
     val wgt = new Array[Double](off(vids.length))
     i = 0
-    while (i < vids.length) {
-      val v   = vids(i)
-      val inN = g.inNeighbors(v)
-      var j = 0
-      while (j < inN.length) {
-        adj(off(i) + j) = inN(j)
-        wgt(off(i) + j) = g.inWeight(v, j)
-        j += 1
-      }
-      i += 1
-    }
+    while (i < vids.length) { g.copyIn(vids(i), adj, wgt, off(i)); i += 1 }
     Block(bid, vids, off, adj, wgt)
   }
 }

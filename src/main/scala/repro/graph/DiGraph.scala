@@ -35,27 +35,49 @@ final class DiGraph private[graph] (
   /** Total degree = in + out (parallel edges counted). */
   def degree(v: Int): Int = outDegree(v) + inDegree(v)
 
-  /** Out-neighbors of `v`, with multiplicity. */
-  def outNeighbors(v: Int): IndexedSeq[Int] =
-    new IndexedSeq[Int] {
-      private val s            = outOff(v)
-      def length: Int          = outOff(v + 1) - s
-      def apply(i: Int): Int   = outAdj(s + i)
+  /** Apply `f` to each out-neighbor of `v`, with multiplicity, in CSR order. */
+  def foreachOut(v: Int)(f: Int => Unit): Unit = {
+    var i = outOff(v)
+    while (i < outOff(v + 1)) { f(outAdj(i)); i += 1 }
+  }
+
+  /** Apply `f` to each in-neighbor of `v`, with multiplicity, in CSR order. */
+  def foreachIn(v: Int)(f: Int => Unit): Unit = {
+    var i = inOff(v)
+    while (i < inOff(v + 1)) { f(inAdj(i)); i += 1 }
+  }
+
+  /** The undirected walk: `v`'s out-neighbors, then its in-neighbors, each
+    * in CSR order. Every order that walks the undirected view takes its
+    * tie-breaks from this sequence.
+    */
+  def foreachNeighbor(v: Int)(f: Int => Unit): Unit = { foreachOut(v)(f); foreachIn(v)(f) }
+
+  /** Copy `v`'s in-edges (sources and weights, in CSR order) into `adj` and
+    * `wgt` from index `at`.
+    */
+  def copyIn(v: Int, adj: Array[Int], wgt: Array[Double], at: Int): Unit = {
+    System.arraycopy(inAdj, inOff(v), adj, at, inDegree(v))
+    System.arraycopy(inWgt, inOff(v), wgt, at, inDegree(v))
+  }
+
+  /** `seeds` in breadth-first order over the undirected view: each seed not
+    * yet reached, in turn, starts a traversal that reaches a neighbor `u` of
+    * a reached `v` ([[foreachNeighbor]] order) when `keep(v, u)`. `keep` must
+    * admit only vertices among `seeds`, which must be distinct.
+    */
+  def bfsOrder(seeds: Array[Int])(keep: (Int, Int) => Boolean): Array[Int] = {
+    val reached = new Array[Boolean](numVertices)
+    val order   = new Array[Int](seeds.length) // doubles as the queue
+    var head    = 0; var tail = 0
+    var v       = -1
+    val visit   = (u: Int) => if (!reached(u) && keep(v, u)) { reached(u) = true; order(tail) = u; tail += 1 }
+    seeds.foreach { seed =>
+      if (!reached(seed)) { reached(seed) = true; order(tail) = seed; tail += 1 }
+      while (head < tail) { v = order(head); head += 1; foreachNeighbor(v)(visit) }
     }
-
-  /** In-neighbors of `v`, with multiplicity. */
-  def inNeighbors(v: Int): IndexedSeq[Int] =
-    new IndexedSeq[Int] {
-      private val s            = inOff(v)
-      def length: Int          = inOff(v + 1) - s
-      def apply(i: Int): Int   = inAdj(s + i)
-    }
-
-  /** Weight of the i-th in-edge of `v` (aligned with [[inNeighbors]]). */
-  def inWeight(v: Int, i: Int): Double = inWgt(inOff(v) + i)
-
-  /** Weight of the i-th out-edge of `v` (aligned with [[outNeighbors]]). */
-  def outWeight(v: Int, i: Int): Double = outWgt(outOff(v) + i)
+    order
+  }
 
   /** Apply `f(src, dst, weight)` to every edge. */
   def foreachEdge(f: (Int, Int, Double) => Unit): Unit = {
@@ -147,19 +169,26 @@ object DiGraph {
   def unweighted(numVertices: Int, es: Seq[(Int, Int)]): DiGraph =
     fromEdges(numVertices, es.map { case (u, v) => (u, v, 1.0) })
 
-  /** Build from a DataFrame with columns src, dst and optional weight.
-    * Vertex ids must be dense `0 until numVertices`; any other id is
-    * rejected before it is narrowed to `Int`.
+  /** Build from a DataFrame with columns src, dst and optional weight (any
+    * numeric type, read as `Double`). Vertex ids must be dense
+    * `0 until numVertices`; any other id, and any null, is rejected before
+    * it is narrowed to `Int`.
     */
   def fromDF(df: DataFrame, numVertices: Int): DiGraph = {
     val hasW = df.columns.contains("weight")
+    def field(r: Row, c: String): Any = {
+      val x = r.getAs[Any](c)
+      require(x != null, s"null $c in edge row $r")
+      x
+    }
     def id(r: Row, c: String): Int = {
-      val x = r.getAs[Any](c) match { case l: Long => l; case i: Int => i.toLong }
+      val x = field(r, c) match { case l: Long => l; case i: Int => i.toLong }
       require(x >= 0 && x < numVertices, s"$c id $x out of range [0,$numVertices)")
       x.toInt
     }
+    def weight(r: Row): Double =
+      if (hasW) field(r, "weight") match { case x: java.lang.Number => x.doubleValue } else 1.0
     val rows = df.collect()
-    fromArrays(numVertices, rows.map(id(_, "src")), rows.map(id(_, "dst")),
-      rows.map(r => if (hasW) r.getAs[Double]("weight") else 1.0))
+    fromArrays(numVertices, rows.map(id(_, "src")), rows.map(id(_, "dst")), rows.map(weight))
   }
 }

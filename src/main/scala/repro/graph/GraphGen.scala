@@ -20,12 +20,15 @@ object GraphGen {
   /** Erdős–Rényi G(n, m): m directed edges drawn uniformly (no self-loops). */
   def erdosRenyi(n: Int, m: Int, seed: Long): DiGraph = {
     val rnd = new Random(seed)
-    val es  = IndexedSeq.fill(m) {
-      var u = rnd.nextInt(n); var v = rnd.nextInt(n)
-      while (v == u) v = rnd.nextInt(n)
-      (u, v, weight(rnd))
+    val src = new Array[Int](m); val dst = new Array[Int](m); val wgt = new Array[Double](m)
+    var e = 0
+    while (e < m) {
+      src(e) = rnd.nextInt(n); dst(e) = rnd.nextInt(n)
+      while (dst(e) == src(e)) dst(e) = rnd.nextInt(n)
+      wgt(e) = weight(rnd)
+      e += 1
     }
-    DiGraph.fromEdges(n, es)
+    DiGraph.fromArrays(n, src, dst, wgt)
   }
 
   /** R-MAT recursive-quadrant generator (Chakrabarti et al.).
@@ -40,9 +43,9 @@ object GraphGen {
     require(a + b + c <= 1.0 + 1e-9, "rmat quadrant probabilities exceed 1")
     val rnd   = new Random(seed)
     val scale = math.max(1, math.ceil(math.log(n.toDouble) / math.log(2.0)).toInt)
-    val es    = mutable.ArrayBuffer.empty[(Int, Int, Double)]
-    es.sizeHint(m)
-    while (es.length < m) {
+    val src   = new Array[Int](m); val dst = new Array[Int](m); val wgt = new Array[Double](m)
+    var e     = 0
+    while (e < m) {
       var u = 0; var v = 0; var bit = 0
       while (bit < scale) {
         val r = rnd.nextDouble()
@@ -53,9 +56,9 @@ object GraphGen {
         bit += 1
       }
       u %= n; v %= n
-      if (u != v) es += ((u, v, weight(rnd)))
+      if (u != v) { src(e) = u; dst(e) = v; wgt(e) = weight(rnd); e += 1 }
     }
-    DiGraph.fromEdges(n, es.toIndexedSeq)
+    DiGraph.fromArrays(n, src, dst, wgt)
   }
 
   /** Barabási–Albert preferential attachment.
@@ -74,21 +77,24 @@ object GraphGen {
     val rnd = new Random(seed)
     // repeated-endpoint list ⇒ degree-proportional sampling
     val pool = mutable.ArrayBuffer.empty[Int]
-    val es   = mutable.ArrayBuffer.empty[(Int, Int, Double)]
+    val m    = (n - mPer) * mPer
+    val src  = new Array[Int](m); val dst = new Array[Int](m); val wgt = new Array[Double](m)
+    var e    = 0
     (0 until mPer).foreach(pool += _)
     var t = mPer
     while (t < n) {
       val targets = mutable.Set.empty[Int]
       while (targets.size < mPer) targets += pool(rnd.nextInt(pool.length))
       targets.foreach { old =>
-        if (rnd.nextDouble() < pForward) es += ((old, t, weight(rnd)))
-        else es += ((t, old, weight(rnd)))
+        if (rnd.nextDouble() < pForward) { src(e) = old; dst(e) = t } else { src(e) = t; dst(e) = old }
+        wgt(e) = weight(rnd)
+        e += 1
         pool += old
       }
       (0 until mPer).foreach(_ => pool += t)
       t += 1
     }
-    DiGraph.fromEdges(n, es.toIndexedSeq)
+    DiGraph.fromArrays(n, src, dst, wgt)
   }
 
   /** Citation-network model: vertex t cites `mPer` earlier vertices
@@ -99,26 +105,8 @@ object GraphGen {
     * cit-Patents measurement (0.07). `noise` adds a fraction of old→new
     * edges (cycles + the small positive-edge floor).
     */
-  def citation(n: Int, mPer: Int, seed: Long, noise: Double = 0.08): DiGraph = {
-    require(n > mPer && mPer >= 1, s"need n > mPer >= 1, got n=$n mPer=$mPer")
-    val rnd  = new Random(seed)
-    val pool = mutable.ArrayBuffer.empty[Int]
-    val es   = mutable.ArrayBuffer.empty[(Int, Int, Double)]
-    (0 until mPer).foreach(pool += _)
-    var t = mPer
-    while (t < n) {
-      val targets = mutable.Set.empty[Int]
-      while (targets.size < mPer) targets += pool(rnd.nextInt(pool.length))
-      targets.foreach { old =>
-        if (rnd.nextDouble() < noise) es += ((old, t, weight(rnd)))
-        else es += ((t, old, weight(rnd)))
-        pool += old
-      }
-      (0 until mPer).foreach(_ => pool += t)
-      t += 1
-    }
-    DiGraph.fromEdges(n, es.toIndexedSeq)
-  }
+  def citation(n: Int, mPer: Int, seed: Long, noise: Double = 0.08): DiGraph =
+    barabasiAlbert(n, mPer, seed, pForward = noise)
 
   /** Relabel all vertices with a seeded random permutation — used to destroy
     * a generator's chronological ID order when the real dataset's IDs carry

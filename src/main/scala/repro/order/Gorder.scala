@@ -35,11 +35,10 @@ class Gorder(window: Int = 5, hubCap: Int = 64) extends Reorder {
           if (delta > 0) pq.enqueue((key(u), u))
         }
       // S_n: direct neighbors in either direction
-      g.outNeighbors(center).foreach(touch)
-      g.inNeighbors(center).foreach(touch)
+      g.foreachNeighbor(center)(touch)
       // S_s: siblings sharing an in-neighbor w (cap hub expansion)
-      g.inNeighbors(center).foreach { w =>
-        if (g.outDegree(w) <= hubCap) g.outNeighbors(w).foreach(touch)
+      g.foreachIn(center) { w =>
+        if (g.outDegree(w) <= hubCap) g.foreachOut(w)(touch)
       }
     }
 

@@ -1,6 +1,5 @@
 package repro.order
 
-import scala.collection.mutable
 import repro.graph.DiGraph
 import repro.partition.{Partitioner, RabbitPartition}
 
@@ -19,37 +18,11 @@ object RabbitOrder extends Reorder {
   def order(g: DiGraph): VertexOrder = {
     val n = g.numVertices
     if (n == 0) return VertexOrder.identity(0)
-    val labels  = RabbitPartition.partition(g, 0)
-    val byComm  = (0 until n).groupBy(labels(_))
-    val commSeq = byComm.toSeq.sortBy { case (_, vs) => vs.min }
-    val out     = new Array[Int](n)
-    var i       = 0
-    commSeq.foreach { case (_, vs) =>
-      bfsWithin(g, vs).foreach { v => out(i) = v; i += 1 }
-    }
-    VertexOrder.fromOrder(out)
-  }
-
-  /** BFS over the undirected view restricted to `vs`, lowest-degree seed. */
-  private[order] def bfsWithin(g: DiGraph, vs: Seq[Int]): Seq[Int] = {
-    val inSet   = vs.toSet
-    val visited = mutable.HashSet.empty[Int]
-    val order   = mutable.ArrayBuffer.empty[Int]
-    val queue   = mutable.Queue.empty[Int]
-    val seeds   = vs.sortBy(v => (g.degree(v), v))
-    seeds.foreach { seed =>
-      if (!visited.contains(seed)) {
-        queue.enqueue(seed); visited += seed
-        while (queue.nonEmpty) {
-          val v = queue.dequeue()
-          order += v
-          val visit = (u: Int) =>
-            if (inSet.contains(u) && !visited.contains(u)) { visited += u; queue.enqueue(u) }
-          g.outNeighbors(v).foreach(visit)
-          g.inNeighbors(v).foreach(visit)
-        }
-      }
-    }
-    order.toSeq
+    val labels = RabbitPartition.partition(g, 0)
+    // labels number communities by their smallest member, so bucketing by
+    // label lays them out in that order; within one, seeds go by (degree, id)
+    val byDeg = Array.range(0, n).sortBy(g.degree)
+    val seeds = Partitioner.bucket(byDeg.map(labels), Partitioner.numParts(labels))._2.map(byDeg)
+    VertexOrder.fromOrder(g.bfsOrder(seeds)((v, u) => labels(u) == labels(v)))
   }
 }

@@ -30,8 +30,7 @@ class Fennel(gamma: Double = 1.5, nu: Double = 1.1) extends Partitioner {
     while (v < n) {
       java.util.Arrays.fill(nbrCnt, 0)
       val addNbr = (u: Int) => if (labels(u) >= 0) nbrCnt(labels(u)) += 1
-      g.outNeighbors(v).foreach(addNbr)
-      g.inNeighbors(v).foreach(addNbr)
+      g.foreachNeighbor(v)(addNbr)
       var best = -1; var bestScore = Double.NegativeInfinity
       var p = 0
       while (p < kk) {

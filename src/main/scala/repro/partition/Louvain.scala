@@ -34,8 +34,7 @@ class Louvain(maxPasses: Int = 10) extends Partitioner {
         wTo.clear()
         val addNbr = (u: Int) => if (u != v)
           wTo.update(comm(u), wTo.getOrElse(comm(u), 0.0) + 1.0)
-        g.outNeighbors(v).foreach(addNbr)
-        g.inNeighbors(v).foreach(addNbr)
+        g.foreachNeighbor(v)(addNbr)
         if (wTo.nonEmpty) {
           val cur = comm(v)
           commDeg(cur) -= deg(v) // evaluate gains with v removed from its community

@@ -1,6 +1,5 @@
 package repro.partition
 
-import scala.collection.mutable
 import repro.graph.DiGraph
 
 /** Metis-style balanced k-way partitioning via recursive BFS bisection.
@@ -20,39 +19,23 @@ object MetisLike extends Partitioner {
     if (n == 0) return Array.empty
     val kk     = math.max(1, math.min(k, n))
     val labels = new Array[Int](n)
-    bisect((0 until n).toArray, kk, 0, g, labels)
+    bisect(Array.range(0, n), kk, 0, g, labels)
     Partitioner.compact(labels)
   }
 
-  /** Split `vs` into `parts` labels starting at `base`, writing `labels`. */
-  private def bisect(vs: Array[Int], parts: Int, base: Int, g: DiGraph, labels: Array[Int]): Unit = {
-    if (parts <= 1 || vs.length <= 1) { vs.foreach(labels(_) = base); return }
-    val leftParts  = parts / 2
-    val leftTarget = (vs.length.toLong * leftParts / parts).toInt.max(1)
-    val inSet      = mutable.HashSet.empty[Int]
-    vs.foreach(inSet += _)
-
-    // grow the left side by BFS from the lowest-degree vertex (peripheral seed)
-    val taken = mutable.HashSet.empty[Int]
-    val queue = mutable.Queue.empty[Int]
-    val seedPool = vs.sortBy(v => (g.degree(v), v))
-    var seedIdx  = 0
-    while (taken.size < leftTarget) {
-      if (queue.isEmpty) {
-        while (seedIdx < seedPool.length && taken.contains(seedPool(seedIdx))) seedIdx += 1
-        queue.enqueue(seedPool(seedIdx))
-        taken += seedPool(seedIdx)
-      }
-      val v = queue.dequeue()
-      val visit = (u: Int) =>
-        if (taken.size < leftTarget && inSet.contains(u) && !taken.contains(u)) {
-          taken += u; queue.enqueue(u)
-        }
-      g.outNeighbors(v).foreach(visit)
-      g.inNeighbors(v).foreach(visit)
+  /** Split `vs` into `parts` labels starting at `base`, writing `labels`.
+    * Every vertex of `vs` is labelled `base` on entry, and no other vertex
+    * has a label in `base until base + parts`.
+    */
+  private def bisect(vs: Array[Int], parts: Int, base: Int, g: DiGraph, labels: Array[Int]): Unit =
+    if (parts > 1 && vs.length > 1) {
+      val leftParts  = parts / 2
+      val leftTarget = (vs.length.toLong * leftParts / parts).toInt.max(1)
+      // grow the left side by BFS from the lowest-degree vertex (peripheral seed)
+      val grown = g.bfsOrder(vs.sortBy(v => (g.degree(v), v)))((_, u) => labels(u) == base)
+      val (left, right) = grown.splitAt(leftTarget)
+      right.foreach(labels(_) = base + leftParts)
+      bisect(left, leftParts, base, g, labels)
+      bisect(right, parts - leftParts, base + leftParts, g, labels)
     }
-    val (left, right) = vs.partition(taken.contains)
-    bisect(left, leftParts, base, g, labels)
-    bisect(right, parts - leftParts, base + leftParts, g, labels)
-  }
 }

@@ -16,10 +16,23 @@ trait Partitioner extends Serializable {
 }
 
 object Partitioner {
-  /** Compact arbitrary labels to dense ids 0 until K, preserving first-seen order. */
+  /** Compact arbitrary labels to dense ids 0 until K, preserving first-seen
+    * order: parts are numbered by their smallest member. */
   def compact(labels: Array[Int]): Array[Int] = {
     val map = scala.collection.mutable.HashMap.empty[Int, Int]
     labels.map(l => map.getOrElseUpdate(l, map.size))
+  }
+
+  /** Stable counting sort of the indices of `keys` (each in `0 until k`):
+    * (bucket offsets, indices grouped by key in ascending order). */
+  def bucket(keys: Array[Int], k: Int): (Array[Int], Array[Int]) = {
+    val off = new Array[Int](k + 1)
+    keys.foreach(key => off(key + 1) += 1)
+    (0 until k).foreach(b => off(b + 1) += off(b))
+    val fill = off.clone()
+    val out  = new Array[Int](keys.length)
+    keys.indices.foreach { i => out(fill(keys(i))) = i; fill(keys(i)) += 1 }
+    (off, out)
   }
 
   /** Number of distinct partitions in a dense labeling. */

@@ -39,8 +39,7 @@ object RabbitPartition extends Partitioner {
         val ru = find(u)
         if (ru != rv) wTo.update(ru, wTo.getOrElse(ru, 0.0) + 1.0)
       }
-      g.outNeighbors(v).foreach(addNbr)
-      g.inNeighbors(v).foreach(addNbr)
+      g.foreachNeighbor(v)(addNbr)
       if (wTo.nonEmpty) {
         val dv = g.degree(v).toDouble
         var bestC = -1; var bestGain = 0.0

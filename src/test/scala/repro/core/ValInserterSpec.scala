@@ -4,9 +4,11 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class ValInserterSpec extends AnyFunSuite {
 
+  private val none = Array.empty[Int]
+
   test("first insert with no neighbors starts the order") {
     val ins = new ValInserter(4)
-    ins.insert(0, Seq.empty, Seq.empty)
+    ins.insert(0, none, none)
     assert(ins.placed(0))
     assert(ins.size == 1)
     assert(ins.result().toSeq == Seq(0))
@@ -14,28 +16,28 @@ class ValInserterSpec extends AnyFunSuite {
 
   test("neighborless inserts append at the tail") {
     val ins = new ValInserter(3)
-    ins.insert(0, Seq.empty, Seq.empty)
-    ins.insert(1, Seq.empty, Seq.empty)
-    ins.insert(2, Seq.empty, Seq.empty)
+    ins.insert(0, none, none)
+    ins.insert(1, none, none)
+    ins.insert(2, none, none)
     assert(ins.result().toSeq == Seq(0, 1, 2))
   }
 
   test("all out-neighbors placed: node goes to the head") {
     val ins = new ValInserter(3)
-    ins.insert(0, Seq.empty, Seq.empty)
-    ins.insert(1, Seq.empty, Seq.empty)
+    ins.insert(0, none, none)
+    ins.insert(1, none, none)
     // 2 -> 0 and 2 -> 1: head makes both positive
-    val pe = ins.insert(2, Seq.empty, Seq((0, 1.0), (1, 1.0)))
-    assert(pe == 2.0)
+    val pe = ins.insert(2, none, Array(0, 1))
+    assert(pe == 2)
     assert(ins.result().toSeq == Seq(2, 0, 1))
   }
 
   test("all in-neighbors placed: node goes to the tail") {
     val ins = new ValInserter(3)
-    ins.insert(0, Seq.empty, Seq.empty)
-    ins.insert(1, Seq.empty, Seq.empty)
-    val pe = ins.insert(2, Seq((0, 1.0), (1, 1.0)), Seq.empty)
-    assert(pe == 2.0)
+    ins.insert(0, none, none)
+    ins.insert(1, none, none)
+    val pe = ins.insert(2, Array(0, 1), none)
+    assert(pe == 2)
     assert(ins.result().toSeq == Seq(0, 1, 2))
   }
 
@@ -43,10 +45,10 @@ class ValInserterSpec extends AnyFunSuite {
     // order [a=0, b=1]; insert v=2 with in-edge a->v and out-edge v->b:
     // between a and b both edges are positive
     val ins = new ValInserter(3)
-    ins.insert(0, Seq.empty, Seq.empty)
-    ins.insert(1, Seq.empty, Seq.empty)
-    val pe = ins.insert(2, Seq((0, 1.0)), Seq((1, 1.0)))
-    assert(pe == 2.0)
+    ins.insert(0, none, none)
+    ins.insert(1, none, none)
+    val pe = ins.insert(2, Array(0), Array(1))
+    assert(pe == 2)
     assert(ins.result().toSeq == Seq(0, 2, 1))
   }
 
@@ -54,52 +56,73 @@ class ValInserterSpec extends AnyFunSuite {
     // O^c = [p, h, q, u]; edges (v,p),(q,v),(v,u) — pe: head 2, after p 1,
     // after q 2, after u 1; the earliest max (head) is kept
     val ins = new ValInserter(5) // p=0,h=1,q=2,u=3,v=4
-    Seq(0, 1, 2, 3).foreach(ins.insert(_, Seq.empty, Seq.empty))
-    val pe = ins.insert(4, Seq((2, 1.0)), Seq((0, 1.0), (3, 1.0)))
-    assert(pe == 2.0)
+    Seq(0, 1, 2, 3).foreach(ins.insert(_, none, none))
+    val pe = ins.insert(4, Array(2), Array(0, 3))
+    assert(pe == 2)
     assert(ins.result().toSeq == Seq(4, 0, 1, 2, 3))
   }
 
   test("insert returns the achieved positive-edge count") {
     val ins = new ValInserter(4)
-    ins.insert(0, Seq.empty, Seq.empty)
-    ins.insert(1, Seq.empty, Seq.empty)
-    ins.insert(2, Seq.empty, Seq.empty)
+    ins.insert(0, none, none)
+    ins.insert(1, none, none)
+    ins.insert(2, none, none)
     // in from 0 and 2, out to 1: best is after 2 (tail): in-edges positive
-    val pe = ins.insert(3, Seq((0, 1.0), (2, 1.0)), Seq((1, 1.0)))
-    assert(pe == 2.0)
-  }
-
-  test("weighted neighbors (super-vertices) use edge weights in pe") {
-    val ins = new ValInserter(3)
-    ins.insert(0, Seq.empty, Seq.empty)
-    ins.insert(1, Seq.empty, Seq.empty)
-    // heavy out-edge to 0 (w=5), light in-edge from 1 (w=1):
-    // head yields 5 positive, tail yields 1 — head wins
-    val pe = ins.insert(2, Seq((1, 1.0)), Seq((0, 5.0)))
-    assert(pe == 5.0)
-    assert(ins.result().head == 2)
+    val pe = ins.insert(3, Array(0, 2), Array(1))
+    assert(pe == 2)
   }
 
   test("duplicate neighbor entries are aggregated") {
     val ins = new ValInserter(3)
-    ins.insert(0, Seq.empty, Seq.empty)
-    ins.insert(1, Seq.empty, Seq.empty)
+    ins.insert(0, none, none)
+    ins.insert(1, none, none)
     // two parallel in-edges from 0: tail-ward position after 0
-    val pe = ins.insert(2, Seq((0, 1.0), (0, 1.0)), Seq.empty)
-    assert(pe == 2.0)
+    val pe = ins.insert(2, Array(0, 0), none)
+    assert(pe == 2)
+
+    // five parallel out-edges to 0 outweigh one in-edge from 1:
+    // head yields 5 positive, tail yields 1 — head wins
+    val ins2 = new ValInserter(3)
+    ins2.insert(0, none, none)
+    ins2.insert(1, none, none)
+    assert(ins2.insert(2, Array(1), Array(0, 0, 0, 0, 0)) == 5)
+    assert(ins2.result().head == 2)
+  }
+
+  test("insert finds the brute-force best position over parallel and two-sided entries") {
+    val rnd = new scala.util.Random(78)
+    (0 until 40).foreach { _ =>
+      val n   = 30
+      val ins = new ValInserter(n)
+      (0 until n).foreach { v =>
+        val before = ins.result()
+        // up to three parallel entries per neighbor, on either or both sides
+        def entries: Array[Int] = rnd.shuffle(before.toSeq.flatMap { u =>
+          Seq.fill(if (rnd.nextDouble() < 0.3) 1 + rnd.nextInt(3) else 0)(u)
+        }).toArray
+        val inN = entries; val outN = entries
+        def positive(order: Array[Int], at: Int): Int = {
+          val pos = order.zipWithIndex.toMap
+          inN.count(pos(_) < at) + outN.count(pos(_) >= at)
+        }
+        val best = (0 to before.length).map(positive(before, _)).max
+        assert(ins.insert(v, inN, outN) == best)
+        val after = ins.result()
+        assert(positive(after.filter(_ != v), after.indexOf(v)) == best)
+      }
+    }
   }
 
   test("double insert of the same node is rejected") {
     val ins = new ValInserter(2)
-    ins.insert(0, Seq.empty, Seq.empty)
-    intercept[IllegalArgumentException] { ins.insert(0, Seq.empty, Seq.empty) }
+    ins.insert(0, none, none)
+    intercept[IllegalArgumentException] { ins.insert(0, none, none) }
   }
 
   test("unplaced neighbor references are rejected") {
     val ins = new ValInserter(3)
-    ins.insert(0, Seq.empty, Seq.empty)
-    intercept[IllegalArgumentException] { ins.insert(1, Seq((2, 1.0)), Seq.empty) }
+    ins.insert(0, none, none)
+    intercept[IllegalArgumentException] { ins.insert(1, Array(2), none) }
   }
 
   test("seed places nodes in the given order") {
@@ -112,7 +135,7 @@ class ValInserterSpec extends AnyFunSuite {
   test("seed then insert keeps relative seeded order") {
     val ins = new ValInserter(4)
     ins.seed(Seq(0, 1, 2))
-    ins.insert(3, Seq((0, 1.0)), Seq((1, 1.0))) // between 0 and 1
+    ins.insert(3, Array(0), Array(1)) // between 0 and 1
     assert(ins.result().toSeq == Seq(0, 3, 1, 2))
   }
 
@@ -122,11 +145,11 @@ class ValInserterSpec extends AnyFunSuite {
     // halves the val interval every time until renormalization kicks in
     val n   = 120
     val ins = new ValInserter(n)
-    ins.insert(0, Seq.empty, Seq.empty)
-    ins.insert(1, Seq((0, 1.0)), Seq.empty)
+    ins.insert(0, none, none)
+    ins.insert(1, Array(0), none)
     (2 until n).foreach { i =>
-      val pe = ins.insert(i, Seq((0, 1.0)), Seq((i - 1, 1.0)))
-      assert(pe == 2.0, s"node $i should place both its edges positively")
+      val pe = ins.insert(i, Array(0), Array(i - 1))
+      assert(pe == 2, s"node $i should place both its edges positively")
     }
     val res = ins.result()
     assert(res.sorted.toSeq == (0 until n), "result must be a permutation")
@@ -147,8 +170,8 @@ class ValInserterSpec extends AnyFunSuite {
       val placed = scala.collection.mutable.ArrayBuffer.empty[Int]
       (0 until n).foreach { v =>
         // random edges between v and already-placed vertices
-        val inN  = placed.filter(_ => rnd.nextDouble() < 0.3).map(u => (u, 1.0)).toSeq
-        val outN = placed.filter(_ => rnd.nextDouble() < 0.3).map(u => (u, 1.0)).toSeq
+        val inN  = placed.filter(_ => rnd.nextDouble() < 0.3).toArray
+        val outN = placed.filter(_ => rnd.nextDouble() < 0.3).toArray
         val pe   = ins.insert(v, inN, outN)
         val ec   = inN.size + outN.size
         assert(pe >= ec / 2.0, s"pe=$pe < |E_v^c|/2=${ec / 2.0}")

@@ -16,13 +16,13 @@ object References {
       Ordering.by[(Double, Int), Double](_._1).reverse)
     pq.enqueue((0.0, source))
     val done = new Array[Boolean](g.numVertices)
+    val out  = Array.fill(g.numVertices)(List.empty[(Int, Double)])
+    g.foreachEdge((u, v, w) => out(u) ::= ((v, w)))
     while (pq.nonEmpty) {
       val (d, u) = pq.dequeue()
       if (!done(u)) {
         done(u) = true
-        val outN = g.outNeighbors(u)
-        outN.indices.foreach { i =>
-          val v = outN(i); val w = g.outWeight(u, i)
+        out(u).foreach { case (v, w) =>
           if (d + w < dist(v)) { dist(v) = d + w; pq.enqueue((dist(v), v)) }
         }
       }
@@ -37,7 +37,7 @@ object References {
     val q = scala.collection.mutable.Queue(source)
     while (q.nonEmpty) {
       val u = q.dequeue()
-      g.outNeighbors(u).foreach { v =>
+      g.foreachOut(u) { v =>
         if (lvl(v).isPosInfinity) { lvl(v) = lvl(u) + 1; q.enqueue(v) }
       }
     }
@@ -210,8 +210,11 @@ class SeqEngineSpec extends AnyFunSuite {
     val g = DiGraph.unweighted(3, Seq((0, 1), (1, 2)))
     val s = SeqEngine.symmetrize(g)
     assert(s.numEdges == 4)
-    assert(s.inNeighbors(0).toSet == Set(1))
-    assert(s.outNeighbors(2).toSet == Set(1))
+    var in0 = Set.empty[Int]; var out2 = Set.empty[Int]
+    s.foreachIn(0)(in0 += _)
+    s.foreachOut(2)(out2 += _)
+    assert(in0 == Set(1))
+    assert(out2 == Set(1))
   }
 
   test("PHP states stay within [0, 1]") {

@@ -7,6 +7,19 @@ class DiGraphSpec extends SparkSpec {
   private def diamond: DiGraph =
     DiGraph.unweighted(4, Seq((0, 1), (0, 2), (1, 3), (2, 3)))
 
+  private def collect(walk: (Int => Unit) => Unit): Seq[Int] = {
+    val b = Seq.newBuilder[Int]
+    walk(b += _)
+    b.result()
+  }
+
+  /** `v`'s in-edges as (source, weight) pairs, in CSR order. */
+  private def inEdges(g: DiGraph, v: Int): Seq[(Int, Double)] = {
+    val adj = new Array[Int](g.inDegree(v)); val wgt = new Array[Double](g.inDegree(v))
+    g.copyIn(v, adj, wgt, 0)
+    adj.toSeq.zip(wgt)
+  }
+
   test("empty graph has zero vertices and edges") {
     val g = DiGraph.unweighted(0, Seq.empty)
     assert(g.numVertices == 0)
@@ -42,20 +55,20 @@ class DiGraphSpec extends SparkSpec {
 
   test("out-neighbors are correct") {
     val g = diamond
-    assert(g.outNeighbors(0).sorted == Seq(1, 2))
-    assert(g.outNeighbors(3).isEmpty)
+    assert(collect(g.foreachOut(0)).sorted == Seq(1, 2))
+    assert(collect(g.foreachOut(3)).isEmpty)
   }
 
   test("in-neighbors are correct") {
     val g = diamond
-    assert(g.inNeighbors(3).sorted == Seq(1, 2))
-    assert(g.inNeighbors(0).isEmpty)
+    assert(collect(g.foreachIn(3)).sorted == Seq(1, 2))
+    assert(collect(g.foreachIn(0)).isEmpty)
   }
 
   test("self-loops are dropped") {
     val g = DiGraph.unweighted(3, Seq((0, 0), (0, 1), (1, 1), (1, 2)))
     assert(g.numEdges == 2)
-    assert(g.outNeighbors(0) == Seq(1))
+    assert(collect(g.foreachOut(0)) == Seq(1))
   }
 
   test("parallel edges are preserved with multiplicity") {
@@ -67,16 +80,15 @@ class DiGraphSpec extends SparkSpec {
 
   test("edge weights align with in-neighbor index") {
     val g = DiGraph.fromEdges(3, Seq((0, 2, 5.0), (1, 2, 7.0)))
-    val inN = g.inNeighbors(2)
-    val pairs = inN.indices.map(i => (inN(i), g.inWeight(2, i))).toSet
-    assert(pairs == Set((0, 5.0), (1, 7.0)))
+    assert(inEdges(g, 2).toSet == Set((0, 5.0), (1, 7.0)))
+    assert(inEdges(g, 2).map(_._1) == collect(g.foreachIn(2)))
   }
 
   test("edge weights align with out-neighbor index") {
     val g = DiGraph.fromEdges(3, Seq((0, 1, 2.5), (0, 2, 3.5)))
-    val outN = g.outNeighbors(0)
-    val pairs = outN.indices.map(i => (outN(i), g.outWeight(0, i))).toSet
-    assert(pairs == Set((1, 2.5), (2, 3.5)))
+    val pairs = g.edges.collect { case (0, v, w) => (v, w) }
+    assert(pairs.toSet == Set((1, 2.5), (2, 3.5)))
+    assert(pairs.map(_._1) == collect(g.foreachOut(0)))
   }
 
   test("foreachEdge visits every edge exactly once") {
@@ -86,6 +98,34 @@ class DiGraphSpec extends SparkSpec {
     g.foreachEdge { (u, v, _) => seen += ((u, v)); count += 1 }
     assert(count == 4)
     assert(seen == Set((0, 1), (0, 2), (1, 3), (2, 3)))
+  }
+
+  test("property: foreachNeighbor walks out-edges, then in-edges, in CSR order") {
+    val graphs = Seq(GraphGen.rmat(300, 2000, seed = 12), GraphGen.rmat(500, 1500, seed = 13),
+                     GraphGen.citation(400, 4, seed = 14), GraphGen.citation(300, 3, seed = 15, noise = 0.3))
+    graphs.foreach { g =>
+      val out = Array.fill(g.numVertices)(Seq.newBuilder[Int])
+      val in  = Array.fill(g.numVertices)(Seq.newBuilder[Int])
+      g.foreachEdge { (u, v, _) => out(u) += v; in(v) += u } // out-CSR order
+      (0 until g.numVertices).foreach { v =>
+        val outs = collect(g.foreachOut(v)); val ins = collect(g.foreachIn(v))
+        assert(collect(g.foreachNeighbor(v)) == outs ++ ins)
+        assert(outs == out(v).result())
+        assert(ins.sorted == in(v).result().sorted)
+        assert(ins == inEdges(g, v).map(_._1))
+      }
+    }
+  }
+
+  test("bfsOrder reorders exactly the seeds, walking each vertex's neighbors in turn") {
+    val g = DiGraph.unweighted(6, Seq((0, 1), (2, 0), (1, 3), (4, 5)))
+    assert(g.bfsOrder(Array(0, 1, 2, 3, 4, 5))((_, _) => true).toSeq == Seq(0, 1, 2, 3, 4, 5))
+    assert(g.bfsOrder(Array(3, 5, 0, 1, 2, 4))((_, _) => true).toSeq == Seq(3, 1, 0, 2, 5, 4))
+    // keep restricts the walk: 1 is not reached from 3, so it waits for its own turn
+    assert(g.bfsOrder(Array(3, 0, 2, 1))((_, u) => u != 1).toSeq == Seq(3, 0, 2, 1))
+    val r  = GraphGen.erdosRenyi(50, 200, seed = 45)
+    val vs = Array.range(0, 25)
+    assert(r.bfsOrder(vs)((_, u) => u < 25).sorted.toSeq == vs.toSeq)
   }
 
   test("edges returns the full edge list") {
@@ -138,6 +178,18 @@ class DiGraphSpec extends SparkSpec {
       val df = Seq(e).toDF("src", "dst")
       intercept[IllegalArgumentException] { DiGraph.fromDF(df, 5) }
     }
+  }
+
+  test("fromDF reads integer weight columns and rejects nulls") {
+    import spark.implicits._
+    val ints = Seq((0, 1, 4), (1, 2, 7)).toDF("src", "dst", "weight")
+    assert(DiGraph.fromDF(ints, 3).edges == Seq((0, 1, 4.0), (1, 2, 7.0)))
+    val longs = Seq((0L, 1L, 4L)).toDF("src", "dst", "weight")
+    assert(DiGraph.fromDF(longs, 2).edges == Seq((0, 1, 4.0)))
+    val nullId = Seq((Some(0L), Option.empty[Long])).toDF("src", "dst")
+    intercept[IllegalArgumentException] { DiGraph.fromDF(nullId, 2) }
+    val nullW = Seq((0L, 1L, Option.empty[Double])).toDF("src", "dst", "weight")
+    intercept[IllegalArgumentException] { DiGraph.fromDF(nullW, 2) }
   }
 
   test("edgesDF schema is (src, dst, weight)") {
