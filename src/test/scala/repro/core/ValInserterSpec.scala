@@ -72,6 +72,17 @@ class ValInserterSpec extends AnyFunSuite {
     assert(pe == 2)
   }
 
+  test("weighted neighbors (super-vertices) use edge weights in pe") {
+    val ins = new ValInserter(3)
+    ins.insert(0, none, none)
+    ins.insert(1, none, none)
+    // a super-edge of weight 5 is five parallel entries: heavy out-edge to 0,
+    // light in-edge from 1 — head yields 5 positive, tail yields 1, head wins
+    val pe = ins.insert(2, Array(1), Array(0, 0, 0, 0, 0))
+    assert(pe == 5)
+    assert(ins.result().head == 2)
+  }
+
   test("duplicate neighbor entries are aggregated") {
     val ins = new ValInserter(3)
     ins.insert(0, none, none)
@@ -79,14 +90,6 @@ class ValInserterSpec extends AnyFunSuite {
     // two parallel in-edges from 0: tail-ward position after 0
     val pe = ins.insert(2, Array(0, 0), none)
     assert(pe == 2)
-
-    // five parallel out-edges to 0 outweigh one in-edge from 1:
-    // head yields 5 positive, tail yields 1 — head wins
-    val ins2 = new ValInserter(3)
-    ins2.insert(0, none, none)
-    ins2.insert(1, none, none)
-    assert(ins2.insert(2, Array(1), Array(0, 0, 0, 0, 0)) == 5)
-    assert(ins2.result().head == 2)
   }
 
   test("insert finds the brute-force best position over parallel and two-sided entries") {

@@ -59,6 +59,14 @@ class RabbitOrderSpec extends AnyFunSuite {
     assert(RabbitOrder.order(g).order.toSeq == RabbitOrder.order(g).order.toSeq)
   }
 
+  test("bfsWithin visits exactly the requested set") {
+    // the label-restricted BFS that RabbitOrder runs over each community
+    val g  = GraphGen.erdosRenyi(50, 200, seed = 45)
+    val vs = Array.range(0, 25)
+    val visited = g.bfsOrder(vs)((_, u) => u < 25)
+    assert(visited.sorted.toSeq == vs.toSeq)
+  }
+
   test("a community's BFS starts from its lowest-degree member") {
     val g = DiGraph.unweighted(4, Seq((0, 1), (0, 2), (0, 3), (1, 2)))
     assert(RabbitOrder.order(g).order.head == 3, "degree-1 vertex 3 should seed the BFS")
