@@ -41,10 +41,16 @@ object SeqEngine {
     DiGraph.fromArrays(g.numVertices, src, dst, wgt)
   }
 
+  /** A sourced program needs a source among the graph's `n` vertices. */
+  private[engine] def checkSource(prog: VertexProgram, source: Int, n: Int): Unit =
+    require(!prog.sourced || (0 <= source && source < n),
+      s"${prog.name} needs a source in [0,$n), got $source")
+
   /** Synchronous iteration (Eq. 1): every vertex reads previous-round states. */
   def sync(g0: DiGraph, prog: VertexProgram, source: Int = -1, maxRounds: Int = 100000): RunResult = {
     val g      = prepare(g0, prog)
     val n      = g.numVertices
+    checkSource(prog, source, n)
     val blk    = Block.of(g, Array.range(0, n))
     val outDeg = Array.tabulate(n)(g.outDegree)
     var x      = Array.tabulate(n)(v => prog.init(v, source))
@@ -68,6 +74,7 @@ object SeqEngine {
     val g = prepare(g0, prog)
     val n = g.numVertices
     require(order.n == n, s"order size ${order.n} != |V|=$n")
+    checkSource(prog, source, n)
     val blk    = Block.of(g, order.order)
     val outDeg = Array.tabulate(n)(g.outDegree)
     val x      = Array.tabulate(n)(v => prog.init(v, source))

@@ -1,5 +1,6 @@
 package repro.engine
 
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
@@ -27,66 +28,85 @@ object SparkBlockAsyncEngine {
   /** Derived once, not per block build: derivation reflects over `Block`. */
   private lazy val blockEncoder: Encoder[Block] = Encoders.product[Block]
 
+  /** Cut `order` into `numBlocks` contiguous ranges of `g`'s (prepared) vertices. */
+  private def cut(g: DiGraph, order: VertexOrder, numBlocks: Int): Array[Block] = {
+    val n = g.numVertices
+    require(order.n == n, s"order size ${order.n} != |V|=$n")
+    val nb = math.max(1, math.min(numBlocks, n))
+    Array.tabulate(nb) { b =>
+      val lo = (b.toLong * n / nb).toInt
+      val hi = ((b + 1).toLong * n / nb).toInt
+      Block.of(g, java.util.Arrays.copyOfRange(order.order, lo, hi), b)
+    }
+  }
+
   /** Build the block dataset for (graph, order, numBlocks): one block per
     * partition, partition `b` holding block `b`.
     */
   def blocks(spark: SparkSession, g0: DiGraph, prog: VertexProgram,
              order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) = {
-    val g = SeqEngine.prepare(g0, prog)
-    val n = g.numVertices
-    require(order.n == n, s"order size ${order.n} != |V|=$n")
-    val nb = math.max(1, math.min(numBlocks, n))
-    val bs = (0 until nb).map { b =>
-      val lo = (b.toLong * n / nb).toInt
-      val hi = ((b + 1).toLong * n / nb).toInt
-      Block.of(g, java.util.Arrays.copyOfRange(order.order, lo, hi), b)
-    }
-    (spark.createDataset(bs)(blockEncoder).repartitionByRange(nb, col("bid")).cache(), g)
+    val g  = SeqEngine.prepare(g0, prog)
+    val bs = cut(g, order, numBlocks)
+    (spark.createDataset(bs.toSeq)(blockEncoder).repartitionByRange(bs.length, col("bid")).cache(), g)
   }
 
   /** Run to convergence; states returned indexed by vertex id. */
   def run(spark: SparkSession, g0: DiGraph, prog: VertexProgram, order: VertexOrder,
           source: Int = -1, numBlocks: Int = 16, maxRounds: Int = 100000): RunResult = {
-    val (ds, g) = blocks(spark, g0, prog, order, numBlocks)
-    try runOnBlocks(spark, ds, g, prog, order, source, maxRounds)
-    finally ds.unpersist()
+    val g = SeqEngine.prepare(g0, prog)
+    supersteps(spark, cut(g, order, numBlocks), g, prog, source, maxRounds)
   }
 
   /** Runs supersteps over a block dataset built by [[blocks]] until
-    * convergence or `maxRounds`. The blocks are decoded out of the dataset
-    * once per run into a persisted RDD, and every superstep maps that RDD;
-    * the RDD and the broadcasts are released on return or failure, while
-    * `ds` stays cached for the caller. `order` is unused (the blocks already
-    * carry it); it stays in the signature for the benchmark's call.
+    * convergence or `maxRounds`. `ds` is collected once and stays cached for
+    * the caller. `order` is unused (the blocks already carry it); it stays in
+    * the signature for the benchmark's call.
     */
   private[engine] def runOnBlocks(spark: SparkSession, ds: Dataset[Block], g: DiGraph,
                                   prog: VertexProgram, order: VertexOrder,
-                                  source: Int, maxRounds: Int): RunResult = {
-    val sc     = spark.sparkContext
-    val n      = g.numVertices
-    val rdd    = ds.rdd.persist(StorageLevel.MEMORY_ONLY)
-    val bcDeg  = sc.broadcast(Array.tabulate(n)(g.outDegree))
-    var x      = Array.tabulate(n)(v => prog.init(v, source))
+                                  source: Int, maxRounds: Int): RunResult =
+    supersteps(spark, ds.collect(), g, prog, source, maxRounds)
+
+  /** The superstep loop over the blocks `bs`.
+    *
+    * `bs(b)` becomes partition `b` of a persisted RDD whose lineage is cut
+    * once, so tasks carry neither a query plan nor block data (the local
+    * checkpoint is not replicated: a lost executor fails the run). Each
+    * superstep is one job of one task per block: the task sweeps its block
+    * against a private copy of the broadcast states and returns the block's
+    * new states in block order with its max |Δx|; the driver writes them into
+    * the next states through the block's `vids`. The RDD and the broadcasts
+    * are released on return or failure.
+    */
+  private def supersteps(spark: SparkSession, bs: Array[Block], g: DiGraph, prog: VertexProgram,
+                         source: Int, maxRounds: Int): RunResult = {
+    val n = g.numVertices
+    SeqEngine.checkSource(prog, source, n)
+    val sc    = spark.sparkContext
+    val rdd   = sc.parallelize(bs.toSeq, bs.length).persist(StorageLevel.MEMORY_ONLY)
+    val bcDeg = sc.broadcast(Array.tabulate(n)(g.outDegree))
+    var x     = Array.tabulate(n)(v => prog.init(v, source))
     var rounds = 0
     var converged = false
     try {
+      rdd.localCheckpoint().count()
       while (!converged && rounds < maxRounds) {
-        val bcX = sc.broadcast(x)
-        val swept: Array[(Array[Int], Array[Double], Double)] =
-          try rdd.map { blk =>
+        val bcX  = sc.broadcast(x)
+        val next = x.clone()
+        var maxDelta = 0.0
+        try sc.runJob(rdd, (_: TaskContext, it: Iterator[Block]) => {
+            val blk   = it.next()
             // private copy: in-block vertices read the states updated before them
             val local = bcX.value.clone()
             val d     = Sweep(blk, prog, bcDeg.value, local, local, source)
-            (blk.vids, blk.vids.map(v => local(v)), d)
-          }.collect()
-          finally bcX.destroy()
-        val next = x.clone()
-        var maxDelta = 0.0
-        swept.foreach { case (vids, vals, d) =>
-          if (d > maxDelta) maxDelta = d
-          var i = 0
-          while (i < vids.length) { next(vids(i)) = vals(i); i += 1 }
-        }
+            (blk.vids.map(v => local(v)), d)
+          }, bs.indices, (b: Int, r: (Array[Double], Double)) => {
+            val vids = bs(b).vids; val vals = r._1
+            var i = 0
+            while (i < vids.length) { next(vids(i)) = vals(i); i += 1 }
+            if (r._2 > maxDelta) maxDelta = r._2
+          })
+        finally bcX.destroy()
         x = next
         rounds += 1
         converged = maxDelta <= prog.tol

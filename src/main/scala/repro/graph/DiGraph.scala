@@ -64,10 +64,12 @@ final class DiGraph private[graph] (
   /** `seeds` in breadth-first order over the undirected view: each seed not
     * yet reached, in turn, starts a traversal that reaches a neighbor `u` of
     * a reached `v` ([[foreachNeighbor]] order) when `keep(v, u)`. `keep` must
-    * admit only vertices among `seeds`, which must be distinct.
+    * admit only vertices among `seeds`, which must be distinct. `reached`
+    * (all false, length |V|) is scratch space that a caller may share
+    * between calls: it is all false again on return.
     */
-  def bfsOrder(seeds: Array[Int])(keep: (Int, Int) => Boolean): Array[Int] = {
-    val reached = new Array[Boolean](numVertices)
+  def bfsOrder(seeds: Array[Int], reached: Array[Boolean] = new Array[Boolean](numVertices))(
+      keep: (Int, Int) => Boolean): Array[Int] = {
     val order   = new Array[Int](seeds.length) // doubles as the queue
     var head    = 0; var tail = 0
     var v       = -1
@@ -76,6 +78,8 @@ final class DiGraph private[graph] (
       if (!reached(seed)) { reached(seed) = true; order(tail) = seed; tail += 1 }
       while (head < tail) { v = order(head); head += 1; foreachNeighbor(v)(visit) }
     }
+    var i = 0
+    while (i < order.length) { reached(order(i)) = false; i += 1 }
     order
   }
 

@@ -19,23 +19,25 @@ object MetisLike extends Partitioner {
     if (n == 0) return Array.empty
     val kk     = math.max(1, math.min(k, n))
     val labels = new Array[Int](n)
-    bisect(Array.range(0, n), kk, 0, g, labels)
+    bisect(Array.range(0, n), kk, 0, g, labels, new Array[Boolean](n))
     Partitioner.compact(labels)
   }
 
   /** Split `vs` into `parts` labels starting at `base`, writing `labels`.
     * Every vertex of `vs` is labelled `base` on entry, and no other vertex
-    * has a label in `base until base + parts`.
+    * has a label in `base until base + parts`. `reached` is the scratch
+    * space every bisection's BFS shares.
     */
-  private def bisect(vs: Array[Int], parts: Int, base: Int, g: DiGraph, labels: Array[Int]): Unit =
+  private def bisect(vs: Array[Int], parts: Int, base: Int, g: DiGraph, labels: Array[Int],
+                     reached: Array[Boolean]): Unit =
     if (parts > 1 && vs.length > 1) {
       val leftParts  = parts / 2
       val leftTarget = (vs.length.toLong * leftParts / parts).toInt.max(1)
       // grow the left side by BFS from the lowest-degree vertex (peripheral seed)
-      val grown = g.bfsOrder(vs.sortBy(v => (g.degree(v), v)))((_, u) => labels(u) == base)
+      val grown = g.bfsOrder(vs.sortBy(v => (g.degree(v), v)), reached)((_, u) => labels(u) == base)
       val (left, right) = grown.splitAt(leftTarget)
       right.foreach(labels(_) = base + leftParts)
-      bisect(left, leftParts, base, g, labels)
-      bisect(right, parts - leftParts, base + leftParts, g, labels)
+      bisect(left, leftParts, base, g, labels, reached)
+      bisect(right, parts - leftParts, base + leftParts, g, labels, reached)
     }
 }

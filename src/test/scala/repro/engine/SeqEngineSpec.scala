@@ -234,4 +234,14 @@ class SeqEngineSpec extends AnyFunSuite {
     assert(SeqEngine.sync(g, PageRank).rounds == 1)
     assert(SeqEngine.async(g, PageRank, VertexOrder.identity(0)).rounds == 1)
   }
+
+  test("sourced programs reject a source outside the graph, in sync and async") {
+    val g = GraphGen.rmat(30, 120, seed = 120)
+    val o = DefaultOrder.order(g)
+    for (prog <- Seq[VertexProgram](SSSP, BFS, PHP); s <- Seq(-1, g.numVertices)) {
+      intercept[IllegalArgumentException](SeqEngine.sync(g, prog, s))
+      intercept[IllegalArgumentException](SeqEngine.async(g, prog, o, s))
+    }
+    intercept[IllegalArgumentException](SeqEngine.sync(g, SSSP)) // the default source is -1
+  }
 }

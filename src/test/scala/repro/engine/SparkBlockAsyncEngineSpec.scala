@@ -1,5 +1,6 @@
 package repro.engine
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.core.GoGraph
 import repro.graph.{DiGraph, GraphGen}
@@ -239,6 +240,44 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
       assert(persisted == afterOne, "the second run leaves no persisted RDD behind")
       assert(ds.storageLevel.useMemory, "the caller's block dataset is still cached")
     } finally ds.unpersist()
+  }
+
+  test("sourced programs reject a source outside the graph, over blocks too") {
+    val g = GraphGen.rmat(30, 120, seed = 120)
+    val o = DefaultOrder.order(g)
+    val before = persisted
+    for (prog <- Seq[VertexProgram](SSSP, BFS, PHP); s <- Seq(-1, g.numVertices))
+      intercept[IllegalArgumentException](SparkBlockAsyncEngine.run(spark, g, prog, o, s, numBlocks = 4))
+    val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, SSSP, o, 4)
+    try intercept[IllegalArgumentException](SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, SSSP, o, -1, 100000))
+    finally ds.unpersist()
+    assert(persisted == before)
+  }
+
+  test("a run launches one Spark job per superstep plus its set-up") {
+    val sc  = spark.sparkContext
+    val g   = GraphGen.rmat(2000, 12000, seed = 116)
+    val o   = DefaultOrder.order(g)
+    val key = "repro.test.marker"
+    val jobs   = new java.util.concurrent.atomic.AtomicInteger
+    val marked = new java.util.concurrent.CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty(key) != null) marked.countDown()
+        else jobs.incrementAndGet()
+    }
+    val before = persisted
+    sc.addSparkListener(listener)
+    try {
+      val res = SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = 4)
+      // events reach a listener in order: once the marker job is seen, so are the run's jobs
+      sc.setLocalProperty(key, "1")
+      try sc.parallelize(Seq(0), 1).count() finally sc.setLocalProperty(key, null)
+      assert(marked.await(60, java.util.concurrent.TimeUnit.SECONDS), "marker job not seen")
+      assert(res.converged && res.rounds > 2)
+      assert(jobs.get >= res.rounds && jobs.get <= res.rounds + 2, s"${jobs.get} jobs for ${res.rounds} supersteps")
+      assert(persisted == before)
+    } finally sc.removeSparkListener(listener)
   }
 }
 

@@ -125,6 +125,17 @@ class DiGraphSpec extends SparkSpec {
     assert(g.bfsOrder(Array(3, 0, 2, 1))((_, u) => u != 1).toSeq == Seq(3, 0, 2, 1))
   }
 
+  test("bfsOrder calls sharing one reached array match fresh calls") {
+    val g       = GraphGen.rmat(200, 1200, seed = 121)
+    val all     = GraphGen.randomPermutation(200, seed = 122)
+    val evens   = all.filter(_ % 2 == 0)
+    val reached = new Array[Boolean](200)
+    val shared  = Seq(g.bfsOrder(all, reached)((_, _) => true), g.bfsOrder(evens, reached)((_, u) => u % 2 == 0))
+    val fresh   = Seq(g.bfsOrder(all)((_, _) => true), g.bfsOrder(evens)((_, u) => u % 2 == 0))
+    assert(shared.map(_.toSeq) == fresh.map(_.toSeq))
+    assert(!reached.contains(true), "bfsOrder leaves the shared array cleared")
+  }
+
   test("edges returns the full edge list") {
     val g = DiGraph.fromEdges(2, Seq((0, 1, 9.0)))
     assert(g.edges == Seq((0, 1, 9.0)))
