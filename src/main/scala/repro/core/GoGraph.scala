@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.DiGraph
-import repro.order.{Reorder, VertexOrder}
+import repro.order.{DegreeSort, Reorder, VertexOrder}
 import repro.partition.{Partitioner, RabbitPartition}
 
 /** Configuration for [[GoGraphReorder]].
@@ -38,7 +38,7 @@ class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
 
     // ---- Divide: extract high-degree vertices ----
     val hdCount = math.min(n, math.max(1, math.round(n * cfg.hdFraction).toInt))
-    val byDeg   = Array.tabulate(n)(identity).sortBy(v => (-g.degree(v), v))
+    val byDeg   = DegreeSort.ranking(g)
     val isHd    = new Array[Boolean](n)
     // only vertices that actually have edges qualify as "high-degree"
     byDeg.take(hdCount).foreach(v => if (g.degree(v) > 0) isHd(v) = true)

@@ -75,23 +75,26 @@ object GraphGen {
   def barabasiAlbert(n: Int, mPer: Int, seed: Long, pForward: Double = 1.0): DiGraph = {
     require(n > mPer && mPer >= 1, s"need n > mPer >= 1, got n=$n mPer=$mPer")
     val rnd = new Random(seed)
-    // repeated-endpoint list ⇒ degree-proportional sampling
-    val pool = mutable.ArrayBuffer.empty[Int]
     val m    = (n - mPer) * mPer
+    // repeated-endpoint list ⇒ degree-proportional sampling: the mPer seed
+    // vertices once, then both endpoints of every edge
+    val pool = new Array[Int](mPer + 2 * m)
+    var len  = 0
+    while (len < mPer) { pool(len) = len; len += 1 }
     val src  = new Array[Int](m); val dst = new Array[Int](m); val wgt = new Array[Double](m)
     var e    = 0
-    (0 until mPer).foreach(pool += _)
     var t = mPer
     while (t < n) {
       val targets = mutable.Set.empty[Int]
-      while (targets.size < mPer) targets += pool(rnd.nextInt(pool.length))
+      while (targets.size < mPer) targets += pool(rnd.nextInt(len))
       targets.foreach { old =>
         if (rnd.nextDouble() < pForward) { src(e) = old; dst(e) = t } else { src(e) = t; dst(e) = old }
         wgt(e) = weight(rnd)
         e += 1
-        pool += old
+        pool(len) = old; len += 1
       }
-      (0 until mPer).foreach(_ => pool += t)
+      var k = 0
+      while (k < mPer) { pool(len) = t; len += 1; k += 1 }
       t += 1
     }
     DiGraph.fromArrays(n, src, dst, wgt)

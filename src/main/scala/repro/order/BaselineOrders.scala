@@ -13,9 +13,25 @@ object DefaultOrder extends Reorder {
   */
 object DegreeSort extends Reorder {
   val name = "DegSort"
-  def order(g: DiGraph): VertexOrder = {
-    val vs = Array.tabulate(g.numVertices)(v => v)
-    VertexOrder.fromOrder(vs.sortBy(v => (-g.degree(v), v)))
+  def order(g: DiGraph): VertexOrder = VertexOrder.fromOrder(ranking(g))
+
+  /** Vertices ranked by (degree desc, id asc): a stable counting sort by
+    * degree. The one degree ranking behind DegSort, HubSort's hub list,
+    * Gorder's fallback seeds and GoGraph's high-degree extraction.
+    */
+  def ranking(g: DiGraph): Array[Int] = {
+    val n   = g.numVertices
+    val deg = Array.tabulate(n)(g.degree)
+    // next(d) = next slot of degree d: after every vertex of higher degree
+    val next = new Array[Int](if (n == 0) 1 else deg.max + 1)
+    deg.foreach(d => next(d) += 1)
+    var below = n
+    var d = 0
+    while (d < next.length) { below -= next(d); next(d) = below; d += 1 }
+    val out = new Array[Int](n)
+    var v = 0
+    while (v < n) { out(next(deg(v))) = v; next(deg(v)) += 1; v += 1 }
+    out
   }
 }
 
@@ -29,8 +45,8 @@ object HubSort extends Reorder {
   def order(g: DiGraph): VertexOrder = {
     val n     = g.numVertices
     val avg   = if (n == 0) 0.0 else g.numEdges.toDouble * 2 / n
-    val hubs  = (0 until n).filter(v => g.degree(v) > avg)
-                           .sortBy(v => (-g.degree(v), v))
+    // the hubs are the ranking's prefix of vertices with degree > avg
+    val hubs  = DegreeSort.ranking(g).takeWhile(v => g.degree(v) > avg)
     val order = Array.tabulate(n)(i => i)
     val pos   = Array.tabulate(n)(i => i)
     hubs.zipWithIndex.foreach { case (h, i) =>

@@ -97,6 +97,15 @@ class GraphGenSpec extends AnyFunSuite {
     g.foreachEdge((u, v, _) => assert(u > v, s"citation edge ($u,$v) must point new->old"))
   }
 
+  test("citation edge list is pinned by its checksum") {
+    // FNV-1a over (src, dst, weight) of every edge in CSR order; pins the
+    // generator's RNG call sequence and its targets' iteration order
+    var h = 0xcbf29ce484222325L
+    def mix(x: Long): Unit = h = (h ^ x) * 0x100000001b3L
+    GraphGen.citation(2000, 5, seed = 7).foreachEdge { (u, v, w) => mix(u); mix(v); mix(w.toLong) }
+    assert(h == -1346470037624524302L)
+  }
+
   test("shuffleIds preserves counts and destroys ID structure") {
     val g  = GraphGen.citation(500, 4, seed = 10, noise = 0.0)
     val g2 = GraphGen.shuffleIds(g, seed = 11)
