@@ -50,7 +50,7 @@ class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
     }
     val isIso = Array.tabulate(n)(v => !isHd(v) && residDeg(v) == 0)
 
-    val rest = (0 until n).filter(v => !isHd(v) && !isIso(v)).toArray
+    val rest = Array.range(0, n).filter(v => !isHd(v) && !isIso(v))
 
     // ---- Divide: split the remaining graph G' into subgraphs ----
     // G' keeps exactly the edges between non-HD vertices: both endpoints of
@@ -97,7 +97,7 @@ class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
 
     // ---- Insert high-degree, then isolated vertices (lines 30–35) ----
     byDeg.filter(isHd(_)).foreach(insertPlaced(g, ins, _)) // descending degree
-    (0 until n).filter(isIso(_)).foreach(insertPlaced(g, ins, _))
+    Array.range(0, n).filter(isIso(_)).foreach(insertPlaced(g, ins, _))
 
     VertexOrder.fromOrder(ins.result())
   }
@@ -110,8 +110,7 @@ class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
     */
   private def insertionOrder(h: DiGraph): Array[Int] = {
     val ins = new ValInserter(h.numVertices)
-    // sortBy is stable, so equal in-degrees stay in ascending id order
-    val seeds = Array.range(0, h.numVertices).sortBy(h.inDegree)
+    val seeds = Partitioner.ranking(Array.tabulate(h.numVertices)(h.inDegree))
     h.bfsOrder(seeds)((_, _) => true).foreach(insertPlaced(h, ins, _))
     ins.result()
   }

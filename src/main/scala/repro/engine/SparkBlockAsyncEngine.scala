@@ -2,7 +2,6 @@ package repro.engine
 
 import org.apache.spark.TaskContext
 import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
-import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 import repro.graph.DiGraph
 import repro.order.VertexOrder
@@ -36,18 +35,17 @@ object SparkBlockAsyncEngine {
     Array.tabulate(nb) { b =>
       val lo = (b.toLong * n / nb).toInt
       val hi = ((b + 1).toLong * n / nb).toInt
-      Block.of(g, java.util.Arrays.copyOfRange(order.order, lo, hi), b)
+      Block.of(g, java.util.Arrays.copyOfRange(order.order, lo, hi))
     }
   }
 
-  /** Build the block dataset for (graph, order, numBlocks): one block per
-    * partition, partition `b` holding block `b`.
+  /** Build the cached block dataset for (graph, order, numBlocks), blocks
+    * in ordinal order.
     */
   def blocks(spark: SparkSession, g0: DiGraph, prog: VertexProgram,
              order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) = {
-    val g  = SeqEngine.prepare(g0, prog)
-    val bs = cut(g, order, numBlocks)
-    (spark.createDataset(bs.toSeq)(blockEncoder).repartitionByRange(bs.length, col("bid")).cache(), g)
+    val g = SeqEngine.prepare(g0, prog)
+    (spark.createDataset(cut(g, order, numBlocks).toSeq)(blockEncoder).cache(), g)
   }
 
   /** Run to convergence; states returned indexed by vertex id. */

@@ -6,7 +6,6 @@ import repro.graph.DiGraph
   * (`off`/`adj`/`wgt` indexed by position in `vids`).
   */
 final case class Block(
-    bid: Int,
     vids: Array[Int],
     off: Array[Int],
     adj: Array[Int],
@@ -16,7 +15,7 @@ final case class Block(
 object Block {
 
   /** The in-edges of `vids`, in that order, from graph `g`. */
-  def of(g: DiGraph, vids: Array[Int], bid: Int = 0): Block = {
+  def of(g: DiGraph, vids: Array[Int]): Block = {
     val off = new Array[Int](vids.length + 1)
     var i = 0
     while (i < vids.length) { off(i + 1) = off(i) + g.inDegree(vids(i)); i += 1 }
@@ -24,7 +23,7 @@ object Block {
     val wgt = new Array[Double](off(vids.length))
     i = 0
     while (i < vids.length) { g.copyIn(vids(i), adj, wgt, off(i)); i += 1 }
-    Block(bid, vids, off, adj, wgt)
+    Block(vids, off, adj, wgt)
   }
 }
 

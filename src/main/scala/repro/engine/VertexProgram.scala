@@ -87,18 +87,18 @@ object CC extends VertexProgram {
 /** Penalized hitting probability: source pinned at 1,
   * x_v = c·Σ_{u∈IN(v)} x_u/|OUT(u)| — monotone increasing from 0.
   */
-class PHP(c: Double = 0.85, val tol: Double = 1e-6) extends VertexProgram {
+object PHP extends VertexProgram {
   val name                          = "PHP"
-  /** Penalty factor, exposed for callers that bound the error left at `tol`. */
-  val penalty: Double               = c
+  /** Penalty factor c, exposed for callers that bound the error left at `tol`. */
+  val penalty: Double               = 0.85
+  val tol: Double                   = 1e-6
   val sourced                       = true
   def init(v: Int, s: Int): Double  = if (v == s) 1.0 else 0.0
   val identity: Double              = 0.0
   def gather(acc: Double, x: Double, w: Double, od: Int): Double = acc + x / od
   def apply(v: Int, old: Double, acc: Double, s: Int): Double =
-    if (v == s) 1.0 else c * acc
+    if (v == s) 1.0 else penalty * acc
 }
-object PHP extends PHP(0.85, 1e-6)
 
 /** Single-source widest path: x_v = max over in-edges of min(x_u, w). */
 object SSWP extends VertexProgram {

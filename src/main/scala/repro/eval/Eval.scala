@@ -256,7 +256,7 @@ object Eval {
       "Fig 10 (as table): cache misses, GoGraph with vs without partitioning",
       Seq("Dataset", "with partition", "without partition", "reduction"),
       rows.map(r => Seq(r.dataset, r.withPart.toString, r.withoutPart.toString,
-        f"${1.0 - r.withPart.toDouble / math.max(1L, r.withoutPart)}%.0f%%")),
+        f"${100 * (1.0 - r.withPart.toDouble / math.max(1L, r.withoutPart))}%.1f%%")),
     )
 
   // ------------------------------------------------------------------

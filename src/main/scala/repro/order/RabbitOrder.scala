@@ -16,13 +16,11 @@ object RabbitOrder extends Reorder {
   val name = "Rabbit"
 
   def order(g: DiGraph): VertexOrder = {
-    val n = g.numVertices
-    if (n == 0) return VertexOrder.identity(0)
     val labels = RabbitPartition.partition(g, 0)
-    // labels number communities by their smallest member, so bucketing by
+    // labels number communities by their smallest member, so ranking by
     // label lays them out in that order; within one, seeds go by (degree, id)
-    val byDeg = Array.range(0, n).sortBy(g.degree)
-    val seeds = Partitioner.bucket(byDeg.map(labels), Partitioner.numParts(labels))._2.map(byDeg)
+    val byDeg = Partitioner.ranking(Array.tabulate(g.numVertices)(g.degree))
+    val seeds = Partitioner.ranking(byDeg.map(labels)).map(byDeg)
     VertexOrder.fromOrder(g.bfsOrder(seeds)((v, u) => labels(u) == labels(v)))
   }
 }

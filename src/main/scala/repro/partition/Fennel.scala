@@ -11,8 +11,11 @@ import repro.graph.DiGraph
   * streaming decisions see only a prefix of the graph — this reproduction
   * keeps that property.
   */
-class Fennel(gamma: Double = 1.5, nu: Double = 1.1) extends Partitioner {
+object Fennel extends Partitioner {
   val name = "Fennel"
+
+  private val Gamma = 1.5
+  private val Nu    = 1.1
 
   def partition(g: DiGraph, k: Int): Array[Int] = {
     val n = g.numVertices
@@ -20,8 +23,8 @@ class Fennel(gamma: Double = 1.5, nu: Double = 1.1) extends Partitioner {
     val kk = math.max(1, math.min(k, n))
     if (kk == 1) return new Array[Int](n)
     val m     = math.max(1, g.numEdges)
-    val alpha = math.sqrt(kk.toDouble) * m / math.pow(n.toDouble, gamma)
-    val cap   = math.max(1.0, nu * n.toDouble / kk)
+    val alpha = math.sqrt(kk.toDouble) * m / math.pow(n.toDouble, Gamma)
+    val cap   = math.max(1.0, Nu * n.toDouble / kk)
 
     val labels = Array.fill(n)(-1)
     val sizes  = new Array[Int](kk)
@@ -36,7 +39,7 @@ class Fennel(gamma: Double = 1.5, nu: Double = 1.1) extends Partitioner {
       while (p < kk) {
         if (sizes(p) + 1 <= cap) {
           val s = sizes(p).toDouble
-          val score = nbrCnt(p) - alpha * (math.pow(s + 1, gamma) - math.pow(s, gamma))
+          val score = nbrCnt(p) - alpha * (math.pow(s + 1, Gamma) - math.pow(s, Gamma))
           if (score > bestScore) { bestScore = score; best = p }
         }
         p += 1
@@ -49,5 +52,3 @@ class Fennel(gamma: Double = 1.5, nu: Double = 1.1) extends Partitioner {
     Partitioner.compact(labels)
   }
 }
-
-object Fennel extends Fennel(1.5, 1.1)

@@ -1,6 +1,5 @@
 package repro.partition
 
-import scala.collection.mutable
 import repro.graph.DiGraph
 
 /** Louvain community detection (Blondel et al. 2008), first-level local-move
@@ -8,11 +7,13 @@ import repro.graph.DiGraph
   *
   * Each pass moves every vertex to the neighboring community with the best
   * positive modularity gain; passes repeat until no vertex moves (or
-  * `maxPasses`). One level suffices for GoGraph's divide step — the combine
+  * `MaxPasses`). One level suffices for GoGraph's divide step — the combine
   * phase treats whole communities as super-vertices anyway.
   */
-class Louvain(maxPasses: Int = 10) extends Partitioner {
+object Louvain extends Partitioner {
   val name = "Louvain"
+
+  private val MaxPasses = 10
 
   def partition(g: DiGraph, k: Int): Array[Int] = {
     val n = g.numVertices
@@ -24,23 +25,22 @@ class Louvain(maxPasses: Int = 10) extends Partitioner {
     val deg     = Array.tabulate(n)(v => g.degree(v).toDouble)
     val commDeg = deg.clone()
 
-    val wTo = mutable.HashMap.empty[Int, Double]
+    val wTo = new Tally(n)
     var pass   = 0
     var moved  = true
-    while (moved && pass < maxPasses) {
+    while (moved && pass < MaxPasses) {
       moved = false
       var v = 0
       while (v < n) {
         wTo.clear()
-        val addNbr = (u: Int) => if (u != v)
-          wTo.update(comm(u), wTo.getOrElse(comm(u), 0.0) + 1.0)
-        g.foreachNeighbor(v)(addNbr)
+        g.foreachNeighbor(v)(u => if (u != v) wTo.add(comm(u)))
         if (wTo.nonEmpty) {
           val cur = comm(v)
           commDeg(cur) -= deg(v) // evaluate gains with v removed from its community
           var bestC = cur
-          var bestGain = wTo.getOrElse(cur, 0.0) / m2 - deg(v) * commDeg(cur) / (m2 * m2)
-          wTo.foreach { case (c, w) =>
+          var bestGain = wTo(cur) / m2 - deg(v) * commDeg(cur) / (m2 * m2)
+          // best gain, ties (within 1e-15) to the smallest community id
+          wTo.foreach { (c, w) =>
             if (c != cur) {
               val gain = w / m2 - deg(v) * commDeg(c) / (m2 * m2)
               if (gain > bestGain + 1e-15 || (math.abs(gain - bestGain) <= 1e-15 && c < bestC)) {
@@ -58,5 +58,3 @@ class Louvain(maxPasses: Int = 10) extends Partitioner {
     Partitioner.compact(comm)
   }
 }
-
-object Louvain extends Louvain(maxPasses = 10)

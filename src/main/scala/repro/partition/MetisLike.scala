@@ -19,14 +19,15 @@ object MetisLike extends Partitioner {
     if (n == 0) return Array.empty
     val kk     = math.max(1, math.min(k, n))
     val labels = new Array[Int](n)
-    bisect(Array.range(0, n), kk, 0, g, labels, new Array[Boolean](n))
+    bisect(Partitioner.ranking(Array.tabulate(n)(g.degree)), kk, 0, g, labels, new Array[Boolean](n))
     Partitioner.compact(labels)
   }
 
-  /** Split `vs` into `parts` labels starting at `base`, writing `labels`.
-    * Every vertex of `vs` is labelled `base` on entry, and no other vertex
-    * has a label in `base until base + parts`. `reached` is the scratch
-    * space every bisection's BFS shares.
+  /** Split `vs`, in ascending (degree, id) order, into `parts` labels
+    * starting at `base`, writing `labels`. Every vertex of `vs` is labelled
+    * `base` on entry, and no other vertex has a label in
+    * `base until base + parts`. `reached` is the scratch space every
+    * bisection's BFS shares.
     */
   private def bisect(vs: Array[Int], parts: Int, base: Int, g: DiGraph, labels: Array[Int],
                      reached: Array[Boolean]): Unit =
@@ -34,10 +35,10 @@ object MetisLike extends Partitioner {
       val leftParts  = parts / 2
       val leftTarget = (vs.length.toLong * leftParts / parts).toInt.max(1)
       // grow the left side by BFS from the lowest-degree vertex (peripheral seed)
-      val grown = g.bfsOrder(vs.sortBy(v => (g.degree(v), v)), reached)((_, u) => labels(u) == base)
-      val (left, right) = grown.splitAt(leftTarget)
-      right.foreach(labels(_) = base + leftParts)
-      bisect(left, leftParts, base, g, labels, reached)
-      bisect(right, parts - leftParts, base + leftParts, g, labels, reached)
+      val grown = g.bfsOrder(vs, reached)((_, u) => labels(u) == base)
+      grown.drop(leftTarget).foreach(labels(_) = base + leftParts)
+      // filtering keeps each half in (degree, id) order
+      bisect(vs.filter(labels(_) == base), leftParts, base, g, labels, reached)
+      bisect(vs.filter(labels(_) == base + leftParts), parts - leftParts, base + leftParts, g, labels, reached)
     }
 }

@@ -16,15 +16,18 @@ trait Partitioner extends Serializable {
 }
 
 object Partitioner {
-  /** Compact arbitrary labels to dense ids 0 until K, preserving first-seen
-    * order: parts are numbered by their smallest member. */
+  /** Compact labels (each >= 0) to dense ids 0 until K, preserving
+    * first-seen order: parts are numbered by their smallest member. */
   def compact(labels: Array[Int]): Array[Int] = {
-    val map = scala.collection.mutable.HashMap.empty[Int, Int]
-    labels.map(l => map.getOrElseUpdate(l, map.size))
+    val id   = Array.fill(numParts(labels))(-1)
+    var next = 0
+    labels.map { l => if (id(l) < 0) { id(l) = next; next += 1 }; id(l) }
   }
 
   /** Stable counting sort of the indices of `keys` (each in `0 until k`):
-    * (bucket offsets, indices grouped by key in ascending order). */
+    * (bucket offsets, indices grouped by key in ascending order). The one
+    * sort of vertices by an integer key: every vertex ranking uses it.
+    */
   def bucket(keys: Array[Int], k: Int): (Array[Int], Array[Int]) = {
     val off = new Array[Int](k + 1)
     keys.foreach(key => off(key + 1) += 1)
@@ -35,7 +38,10 @@ object Partitioner {
     (off, out)
   }
 
-  /** Number of distinct partitions in a dense labeling. */
+  /** The indices of `keys` (each >= 0) in ascending (key, index) order. */
+  def ranking(keys: Array[Int]): Array[Int] = bucket(keys, numParts(keys))._2
+
+  /** Number of distinct partitions in a dense labeling: the largest label + 1. */
   def numParts(labels: Array[Int]): Int = if (labels.isEmpty) 0 else labels.max + 1
 
   /** Edges whose endpoints share a partition (locality quality measure). */
@@ -44,4 +50,23 @@ object Partitioner {
     g.foreachEdge((u, v, _) => if (labels(u) == labels(v)) c += 1)
     c
   }
+}
+
+/** Edge counts from one vertex to each neighbouring community (ids in
+  * `0 until n`): a dense count per community plus the list of the
+  * communities counted since the last `clear()`, which resets only those.
+  */
+private[partition] final class Tally(n: Int) {
+  private val count   = new Array[Int](n)
+  private val touched = new Array[Int](n)
+  private var size    = 0
+  def add(c: Int): Unit = { if (count(c) == 0) { touched(size) = c; size += 1 }; count(c) += 1 }
+  def apply(c: Int): Int = count(c)
+  def nonEmpty: Boolean = size > 0
+  /** `f(community, count)` for each community counted, in first-counted order. */
+  def foreach(f: (Int, Int) => Unit): Unit = {
+    var i = 0
+    while (i < size) { f(touched(i), count(touched(i))); i += 1 }
+  }
+  def clear(): Unit = while (size > 0) { size -= 1; count(touched(size)) = 0 }
 }

@@ -1,6 +1,5 @@
 package repro.partition
 
-import scala.collection.mutable
 import repro.graph.DiGraph
 
 /** Rabbit-Partition (Arai et al., IPDPS'16) — GoGraph's default divide step.
@@ -30,20 +29,16 @@ object RabbitPartition extends Partitioner {
     // community total (undirected) degree
     val commDeg = Array.tabulate(n)(v => g.degree(v).toDouble)
 
-    val visitOrder = Array.tabulate(n)(identity).sortBy(v => (g.degree(v), v))
-    val wTo = mutable.HashMap.empty[Int, Double]
-    visitOrder.foreach { v =>
+    val wTo = new Tally(n)
+    Partitioner.ranking(Array.tabulate(n)(g.degree)).foreach { v =>
       val rv = find(v)
       wTo.clear()
-      val addNbr = (u: Int) => {
-        val ru = find(u)
-        if (ru != rv) wTo.update(ru, wTo.getOrElse(ru, 0.0) + 1.0)
-      }
-      g.foreachNeighbor(v)(addNbr)
+      g.foreachNeighbor(v) { u => val ru = find(u); if (ru != rv) wTo.add(ru) }
       if (wTo.nonEmpty) {
         val dv = g.degree(v).toDouble
+        // highest positive gain, ties to the smallest community id
         var bestC = -1; var bestGain = 0.0
-        wTo.foreach { case (c, w) =>
+        wTo.foreach { (c, w) =>
           val gain = w / m2 - dv * commDeg(c) / (m2 * m2)
           if (gain > bestGain || (gain == bestGain && bestC != -1 && c < bestC)) {
             bestGain = gain; bestC = c

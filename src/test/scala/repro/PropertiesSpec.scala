@@ -6,6 +6,7 @@ import repro.core.GoGraph
 import repro.engine.{References, SSSP, SeqEngine}
 import repro.graph.{DiGraph, GraphGen}
 import repro.order._
+import repro.partition.Partitioner
 
 /** ScalaCheck properties across the whole stack (driven directly — only
   * scalatest and scalacheck are on the offline classpath, not the
@@ -32,6 +33,20 @@ class PropertiesSpec extends AnyFunSuite {
 
   private def isPermutation(o: VertexOrder, n: Int): Boolean =
     o.order.sorted.toSeq == (0 until n)
+
+  test("property: bucket is the stable sort of the indices by key") {
+    val genKeys = for {
+      k    <- Gen.choose(1, 12)
+      keys <- Gen.containerOf[Array, Int](Gen.choose(0, k - 1))
+      more <- Gen.choose(0, 3) // buckets no key can use
+    } yield (keys, k + more)
+    check(Prop.forAllNoShrink(genKeys) { case (keys, k) =>
+      val (off, out) = Partitioner.bucket(keys, k)
+      out.toSeq == keys.indices.sortBy(keys(_)) && off.toSeq == (0 to k).map(b => keys.count(_ < b))
+    }, tests = 200)
+    assert(Partitioner.bucket(Array.empty[Int], 0)._1.toSeq == Seq(0))
+    assert(Partitioner.bucket(Array.empty[Int], 3)._1.toSeq == Seq(0, 0, 0, 0))
+  }
 
   test("property: every reorder method returns a permutation") {
     val methods = Seq(DefaultOrder, DegreeSort, HubSort, HubCluster, Gorder, RabbitOrder, GoGraph)

@@ -198,15 +198,14 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     }
   }
 
-  test("every partition of the block dataset holds exactly one block, in bid order") {
+  test("runOnBlocks over blocks(…) equals run bit for bit at 1, 4, 8, 16 and |V| blocks") {
     val g = GraphGen.rmat(40, 240, seed = 112)
-    val o = DefaultOrder.order(g)
+    val o = VertexOrder.fromOrder(GraphGen.randomPermutation(40, seed = 117))
     Seq(1, 4, 8, 16, g.numVertices).foreach { nb =>
-      val (ds, _) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, nb)
-      try {
-        val bids = ds.rdd.glom().map(_.map(_.bid).toSeq).collect().toSeq
-        assert(bids == (0 until nb).map(Seq(_)), s"blocks=$nb")
-      } finally ds.unpersist()
+      val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, nb)
+      try assertSameRun(SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, PageRank, o, -1, 100000),
+        SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = nb), s"blocks=$nb")
+      finally ds.unpersist()
     }
   }
 

@@ -83,6 +83,12 @@ class EvalSpec extends AnyFunSuite {
     assert(r.withPart > 0 && r.withoutPart > 0)
   }
 
+  test("the Fig 10 table prints the reduction in percent") {
+    val table = Eval.renderPartitionCacheImpact(Seq(
+      Eval.PartitionCacheRow("A", 96, 100), Eval.PartitionCacheRow("B", 103, 100)))
+    assert(table.contains("4.0%") && table.contains("-3.0%"), table)
+  }
+
   test("avgDegreeSweep runs the BA sweep (Fig 12) at small scale") {
     val rows = Eval.avgDegreeSweep(n = 1000, degs = Seq(2, 4), methods = Orders.competitors.take(2))
     assert(rows.map(_.avgDeg) == Seq(2, 4))
