@@ -11,7 +11,13 @@ import repro.order.VertexOrder
   */
 final case class RunResult(states: Array[Double], rounds: Int, converged: Boolean) {
   /** Σ of finite state values (used by the convergence-distance experiments). */
-  def finiteSum: Double = {
+  def finiteSum: Double = RunResult.finiteSum(states)
+}
+
+object RunResult {
+
+  /** Σ of the finite values of `states`, in index order. */
+  def finiteSum(states: Array[Double]): Double = {
     var s = 0.0; var i = 0
     while (i < states.length) { val x = states(i); if (!x.isInfinite && !x.isNaN) s += x; i += 1 }
     s
@@ -46,19 +52,27 @@ object SeqEngine {
     require(!prog.sourced || (0 <= source && source < n),
       s"${prog.name} needs a source in [0,$n), got $source")
 
+  /** `prog`'s initial states of vertices `0 until n`. */
+  private[engine] def initialStates(prog: VertexProgram, n: Int, source: Int): Array[Double] = {
+    val x = new Array[Double](n)
+    var v = 0
+    while (v < n) { x(v) = prog.init(v, source); v += 1 }
+    x
+  }
+
   /** Synchronous iteration (Eq. 1): every vertex reads previous-round states. */
   def sync(g0: DiGraph, prog: VertexProgram, source: Int = -1, maxRounds: Int = 100000): RunResult = {
     val g      = prepare(g0, prog)
     val n      = g.numVertices
     checkSource(prog, source, n)
     val blk    = Block.of(g, Array.range(0, n))
-    val outDeg = Array.tabulate(n)(g.outDegree)
-    var x      = Array.tabulate(n)(v => prog.init(v, source))
+    val outDeg = g.outDegrees
+    var x      = initialStates(prog, n, source)
     var xNew   = new Array[Double](n)
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {
-      converged = Sweep(blk, prog, outDeg, x, xNew, source) <= prog.tol
+      converged = Sweep(blk, prog, outDeg, x, xNew, source).maxDelta <= prog.tol
       val t = x; x = xNew; xNew = t
       rounds += 1
     }
@@ -68,21 +82,28 @@ object SeqEngine {
   /** Asynchronous iteration (Eq. 2): vertices processed in `order`; each
     * reads current-round states of earlier-ordinal in-neighbors and
     * previous-round states of later ones (in-place array sweep).
+    *
+    * After each round, `onRound(round, max |Δx|, changed vertices, states)`
+    * runs with round counted from 1 and the live state array, which the next
+    * round overwrites (copy it to keep it).
     */
   def async(g0: DiGraph, prog: VertexProgram, order: VertexOrder,
-            source: Int = -1, maxRounds: Int = 100000): RunResult = {
+            source: Int = -1, maxRounds: Int = 100000,
+            onRound: (Int, Double, Int, Array[Double]) => Unit = (_, _, _, _) => ()): RunResult = {
     val g = prepare(g0, prog)
     val n = g.numVertices
     require(order.n == n, s"order size ${order.n} != |V|=$n")
     checkSource(prog, source, n)
     val blk    = Block.of(g, order.order)
-    val outDeg = Array.tabulate(n)(g.outDegree)
-    val x      = Array.tabulate(n)(v => prog.init(v, source))
+    val outDeg = g.outDegrees
+    val x      = initialStates(prog, n, source)
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {
-      converged = Sweep(blk, prog, outDeg, x, x, source) <= prog.tol
+      val s = Sweep(blk, prog, outDeg, x, x, source)
+      converged = s.maxDelta <= prog.tol
       rounds += 1
+      onRound(rounds, s.maxDelta, s.changed, x)
     }
     RunResult(x, rounds, converged)
   }

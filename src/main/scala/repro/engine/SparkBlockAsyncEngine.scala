@@ -82,8 +82,8 @@ object SparkBlockAsyncEngine {
     SeqEngine.checkSource(prog, source, n)
     val sc    = spark.sparkContext
     val rdd   = sc.parallelize(bs.toSeq, bs.length).persist(StorageLevel.MEMORY_ONLY)
-    val bcDeg = sc.broadcast(Array.tabulate(n)(g.outDegree))
-    var x     = Array.tabulate(n)(v => prog.init(v, source))
+    val bcDeg = sc.broadcast(g.outDegrees)
+    var x     = SeqEngine.initialStates(prog, n, source)
     var rounds = 0
     var converged = false
     try {
@@ -96,7 +96,7 @@ object SparkBlockAsyncEngine {
             val blk   = it.next()
             // private copy: in-block vertices read the states updated before them
             val local = bcX.value.clone()
-            val d     = Sweep(blk, prog, bcDeg.value, local, local, source)
+            val d     = Sweep(blk, prog, bcDeg.value, local, local, source).maxDelta
             (blk.vids.map(v => local(v)), d)
           }, bs.indices, (b: Int, r: (Array[Double], Double)) => {
             val vids = bs(b).vids; val vals = r._1

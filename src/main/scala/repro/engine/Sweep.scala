@@ -27,37 +27,41 @@ object Block {
   }
 }
 
+/** What one sweep did: the max |Δx| over its vertices and how many of them
+  * changed state.
+  */
+final case class Swept(maxDelta: Double, changed: Int)
+
 /** The one vertex-update sweep every engine runs (paper Eq. 1 and Eq. 2).
   *
   * Each vertex of `blk`, in order, folds its in-neighbours' states from `read`
   * and stores its new state into `write`. Passing two arrays gives Eq. 1
   * (every vertex sees previous-round states); passing the same array gives
   * Eq. 2 (vertices see the states already updated earlier in the sweep).
+  * The program's [[Fold]] runs each vertex's in-edge loop, so no call is made
+  * per edge.
   */
 private[engine] object Sweep {
 
-  /** Runs one sweep; returns the max |Δx| over the block's vertices. */
+  /** Runs one sweep over `blk`. */
   def apply(blk: Block, prog: VertexProgram, outDeg: Array[Int],
-            read: Array[Double], write: Array[Double], source: Int): Double = {
-    val vids = blk.vids; val off = blk.off; val adj = blk.adj; val wgt = blk.wgt
+            read: Array[Double], write: Array[Double], source: Int): Swept = {
+    val vids = blk.vids; val off = blk.off
+    val fold = prog.fold
     var maxDelta = 0.0
+    var changed  = 0
     var i = 0
     while (i < vids.length) {
       val v   = vids(i)
-      var acc = prog.identity
-      var j   = off(i)
-      while (j < off(i + 1)) {
-        val u = adj(j)
-        acc = prog.gather(acc, read(u), wgt(j), outDeg(u))
-        j += 1
-      }
+      val acc = fold(blk, off(i), off(i + 1), read, outDeg)
       val old = read(v)
       val nx  = prog.apply(v, old, acc, source)
       val d   = math.abs(nx - old)
       if (d > maxDelta) maxDelta = d // ∞ − ∞ is NaN, never greater: unchanged
+      if (nx != old) changed += 1
       write(v) = nx
       i += 1
     }
-    maxDelta
+    Swept(maxDelta, changed)
   }
 }

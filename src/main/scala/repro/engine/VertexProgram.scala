@@ -1,13 +1,12 @@
 package repro.engine
 
-/** A monotonic vertex update function F(·) (paper §II–III) in gather/apply
+/** A monotonic vertex update function F(·) (paper §II–III) in fold/apply
   * form, shared by all engines (sequential sync/async, Spark block-async).
   *
-  * One vertex update is `apply(v, old, fold(gather over in-edges), source)`
-  * where the fold starts at [[identity]]. All engines run it through one
-  * sweep kernel ([[Sweep]]); they differ only in *which* neighbor state
-  * version feeds `gather`: previous round (Eq. 1, synchronous) or current
-  * round where available (Eq. 2, asynchronous).
+  * One vertex update is `apply(v, old, fold over v's in-edges, source)`. All
+  * engines run it through one sweep kernel ([[Sweep]]); they differ only in
+  * *which* neighbor state version the [[fold]] reads: previous round (Eq. 1,
+  * synchronous) or current round where available (Eq. 2, asynchronous).
   */
 trait VertexProgram extends Serializable {
   def name: String
@@ -15,11 +14,8 @@ trait VertexProgram extends Serializable {
   /** Initial state of vertex v (source = -1 for unsourced algorithms). */
   def init(v: Int, source: Int): Double
 
-  /** Fold identity for the in-edge accumulator. */
-  def identity: Double
-
-  /** Fold one in-edge u→v: `acc ⊕ (state(u), weight, |OUT(u)|)`. */
-  def gather(acc: Double, nbrState: Double, w: Double, nbrOutDeg: Int): Double
+  /** The in-edge fold: one of the [[Fold]] semirings, which owns the loop. */
+  def fold: Fold
 
   /** New state from the old state and the folded accumulator. */
   def apply(v: Int, old: Double, acc: Double, source: Int): Double
@@ -34,6 +30,69 @@ trait VertexProgram extends Serializable {
   def sourced: Boolean
 }
 
+/** How a vertex folds its in-neighbours' states: the semirings of the six
+  * programs (GraphBLAS's view, Kepner et al. 2016). Each case owns one tight
+  * loop, so the per-edge step is monomorphic; [[Sweep]] calls a fold once per
+  * vertex.
+  */
+sealed abstract class Fold extends Serializable {
+
+  /** The fold, from this semiring's identity, of in-edges `[from, until)` of
+    * `blk` in CSR order, reading source states from `read` and out-degrees
+    * from `outDeg`. An empty range gives the identity.
+    */
+  def apply(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double
+}
+
+object Fold {
+
+  /** Σ x_u / |OUT(u)| from 0 (PageRank, PHP). The division stays per edge:
+    * multiplying by a precomputed 1/|OUT(u)| rounds differently.
+    */
+  case object SumOverOutDegree extends Fold {
+    def apply(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double = {
+      val adj = blk.adj
+      var acc = 0.0
+      var j   = from
+      while (j < until) { val u = adj(j); acc = acc + read(u) / outDeg(u); j += 1 }
+      acc
+    }
+  }
+
+  /** min (x_u + w) from +∞ (SSSP). */
+  case object MinPlusWeight extends Fold {
+    def apply(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double = {
+      val adj = blk.adj; val wgt = blk.wgt
+      var acc = Double.PositiveInfinity
+      var j   = from
+      while (j < until) { acc = math.min(acc, read(adj(j)) + wgt(j)); j += 1 }
+      acc
+    }
+  }
+
+  /** min (x_u + c) from +∞, weights ignored (BFS: c = 1; CC: c = 0). */
+  final case class MinPlus(c: Double) extends Fold {
+    def apply(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double = {
+      val adj = blk.adj
+      var acc = Double.PositiveInfinity
+      var j   = from
+      while (j < until) { acc = math.min(acc, read(adj(j)) + c); j += 1 }
+      acc
+    }
+  }
+
+  /** max min(x_u, w) from 0 (SSWP). */
+  case object MaxMinWeight extends Fold {
+    def apply(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double = {
+      val adj = blk.adj; val wgt = blk.wgt
+      var acc = 0.0
+      var j   = from
+      while (j < until) { acc = math.max(acc, math.min(read(adj(j)), wgt(j))); j += 1 }
+      acc
+    }
+  }
+}
+
 /** PageRank: x_v = (1−d) + d·Σ_{u∈IN(v)} x_u/|OUT(u)|, x⁰ = 0.
   * Starting from 0 the (Gauss–Seidel) iterates increase monotonically toward
   * the fixed point, satisfying the paper's monotonicity precondition.
@@ -44,9 +103,8 @@ class PageRank(d: Double = 0.85, val tol: Double = 1e-6) extends VertexProgram {
   val damping: Double               = d
   val sourced                       = false
   def init(v: Int, s: Int): Double  = 0.0
-  val identity: Double              = 0.0
-  def gather(acc: Double, x: Double, w: Double, od: Int): Double = acc + x / od
-  def apply(v: Int, old: Double, acc: Double, s: Int): Double    = (1.0 - d) + d * acc
+  val fold: Fold                    = Fold.SumOverOutDegree
+  def apply(v: Int, old: Double, acc: Double, s: Int): Double = (1.0 - d) + d * acc
 }
 object PageRank extends PageRank(0.85, 1e-6)
 
@@ -56,9 +114,8 @@ object SSSP extends VertexProgram {
   val sourced                       = true
   val tol                           = 0.0
   def init(v: Int, s: Int): Double  = if (v == s) 0.0 else Double.PositiveInfinity
-  val identity: Double              = Double.PositiveInfinity
-  def gather(acc: Double, x: Double, w: Double, od: Int): Double = math.min(acc, x + w)
-  def apply(v: Int, old: Double, acc: Double, s: Int): Double    = math.min(old, acc)
+  val fold: Fold                    = Fold.MinPlusWeight
+  def apply(v: Int, old: Double, acc: Double, s: Int): Double = math.min(old, acc)
 }
 
 /** Breadth-first search levels (SSSP with unit weights). */
@@ -67,9 +124,8 @@ object BFS extends VertexProgram {
   val sourced                       = true
   val tol                           = 0.0
   def init(v: Int, s: Int): Double  = if (v == s) 0.0 else Double.PositiveInfinity
-  val identity: Double              = Double.PositiveInfinity
-  def gather(acc: Double, x: Double, w: Double, od: Int): Double = math.min(acc, x + 1.0)
-  def apply(v: Int, old: Double, acc: Double, s: Int): Double    = math.min(old, acc)
+  val fold: Fold                    = Fold.MinPlus(1.0)
+  def apply(v: Int, old: Double, acc: Double, s: Int): Double = math.min(old, acc)
 }
 
 /** Connected components: min-label propagation over the symmetrized graph. */
@@ -79,9 +135,8 @@ object CC extends VertexProgram {
   val tol                           = 0.0
   override val needsSymmetric       = true
   def init(v: Int, s: Int): Double  = v.toDouble
-  val identity: Double              = Double.PositiveInfinity
-  def gather(acc: Double, x: Double, w: Double, od: Int): Double = math.min(acc, x)
-  def apply(v: Int, old: Double, acc: Double, s: Int): Double    = math.min(old, acc)
+  val fold: Fold                    = Fold.MinPlus(0.0)
+  def apply(v: Int, old: Double, acc: Double, s: Int): Double = math.min(old, acc)
 }
 
 /** Penalized hitting probability: source pinned at 1,
@@ -94,8 +149,7 @@ object PHP extends VertexProgram {
   val tol: Double                   = 1e-6
   val sourced                       = true
   def init(v: Int, s: Int): Double  = if (v == s) 1.0 else 0.0
-  val identity: Double              = 0.0
-  def gather(acc: Double, x: Double, w: Double, od: Int): Double = acc + x / od
+  val fold: Fold                    = Fold.SumOverOutDegree
   def apply(v: Int, old: Double, acc: Double, s: Int): Double =
     if (v == s) 1.0 else penalty * acc
 }
@@ -106,8 +160,7 @@ object SSWP extends VertexProgram {
   val sourced                       = true
   val tol                           = 0.0
   def init(v: Int, s: Int): Double  = if (v == s) Double.PositiveInfinity else 0.0
-  val identity: Double              = 0.0
-  def gather(acc: Double, x: Double, w: Double, od: Int): Double = math.max(acc, math.min(x, w))
+  val fold: Fold                    = Fold.MaxMinWeight
   def apply(v: Int, old: Double, acc: Double, s: Int): Double =
     if (v == s) old else math.max(old, acc)
 }

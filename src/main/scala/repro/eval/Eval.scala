@@ -329,18 +329,20 @@ object Eval {
   final case class ConvergenceRow(method: String, distByRound: Seq[Double])
 
   /** dist_t = |Σ x* − Σ x_t| after each async round (paper's Fig 7 metric),
-    * sampled for `rounds` rounds.
+    * sampled for `rounds` rounds from one run per method. A run that
+    * converges before `rounds` keeps its last distance, as a run capped at
+    * any later round would.
     */
   def convergence(g: DiGraph, prog: VertexProgram, rounds: Int,
                   methods: Seq[Reorder] = Orders.competitors): Seq[ConvergenceRow] = {
     val source = if (prog.sourced) defaultSource(g) else -1
     val star   = converged(SeqEngine.sync(g, prog, source), s"sync ${prog.name}").finiteSum
     methods.map { r =>
-      val o = r.order(g)
-      val dists = (1 to rounds).map { k =>
-        math.abs(star - SeqEngine.async(g, prog, o, source, maxRounds = k).finiteSum)
-      }
-      ConvergenceRow(r.name, dists)
+      val sums = Array.newBuilder[Double]
+      SeqEngine.async(g, prog, r.order(g), source, maxRounds = rounds,
+        onRound = (_, _, _, x) => sums += RunResult.finiteSum(x))
+      val s = sums.result()
+      ConvergenceRow(r.name, (0 until rounds).map(k => math.abs(star - s(math.min(k, s.length - 1)))))
     }
   }
 

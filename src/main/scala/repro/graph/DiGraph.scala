@@ -32,6 +32,14 @@ final class DiGraph private[graph] (
   def outDegree(v: Int): Int = outOff(v + 1) - outOff(v)
   def inDegree(v: Int): Int  = inOff(v + 1) - inOff(v)
 
+  /** Every vertex's out-degree, indexed by id. */
+  def outDegrees: Array[Int] = {
+    val d = new Array[Int](numVertices)
+    var v = 0
+    while (v < numVertices) { d(v) = outOff(v + 1) - outOff(v); v += 1 }
+    d
+  }
+
   /** Total degree = in + out (parallel edges counted). */
   def degree(v: Int): Int = outDegree(v) + inDegree(v)
 

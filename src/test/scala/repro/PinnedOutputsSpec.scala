@@ -1,16 +1,18 @@
 package repro
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{GoGraphConfig, GoGraphReorder}
+import repro.core.{GoGraph, GoGraphConfig, GoGraphReorder}
+import repro.engine._
+import repro.eval.Eval
 import repro.graph.{DiGraph, GraphGen}
 import repro.order._
 import repro.partition._
 
-/** Every partitioner's labels and every reorderer's order, pinned by an
-  * FNV-1a checksum on two inputs, so that a rewrite of their internals
-  * (sorts, tallies, traversals) cannot change a single label or position.
+/** Every partitioner's labels, every reorderer's order and every engine's
+  * final states (raw bits) and rounds, pinned by an FNV-1a checksum on two
+  * inputs, so that a rewrite of their internals (sorts, tallies, traversals,
+  * the sweep kernel) cannot change a single label, position or state bit.
   */
-class PinnedOutputsSpec extends AnyFunSuite {
+class PinnedOutputsSpec extends SparkSpec {
 
   private lazy val citation = GraphGen.citation(2000, 5, seed = 7)
   private lazy val wk       = GraphGen.datasetSmall("WK")
@@ -19,6 +21,12 @@ class PinnedOutputsSpec extends AnyFunSuite {
     var h = 0xcbf29ce484222325L
     xs.foreach(x => h = (h ^ x) * 0x100000001b3L)
     h
+  }
+
+  /** The raw bits of each state, high word then low word. */
+  private def bits(xs: Array[Double]): Array[Int] = xs.flatMap { x =>
+    val b = java.lang.Double.doubleToRawLongBits(x)
+    Array((b >>> 32).toInt, b.toInt)
   }
 
   private def labels(p: Partitioner): DiGraph => Array[Int] = p.partition(_, 8)
@@ -46,5 +54,50 @@ class PinnedOutputsSpec extends AnyFunSuite {
       assert(fnv(f(citation)) == onCitation, "on citation(2000, 5, 7)")
       assert(fnv(f(wk)) == onWk, "on datasetSmall(\"WK\")")
     }
+  }
+
+  private def source(g: DiGraph, p: VertexProgram): Int = if (p.sourced) Eval.defaultSource(g) else -1
+  private def sync(p: VertexProgram): DiGraph => RunResult = g => SeqEngine.sync(g, p, source(g, p))
+  private def async(r: Reorder)(p: VertexProgram): DiGraph => RunResult =
+    g => SeqEngine.async(g, p, r.order(g), source(g, p))
+  private def block(p: VertexProgram): DiGraph => RunResult =
+    g => SparkBlockAsyncEngine.run(spark, g, p, DefaultOrder.order(g), source(g, p), numBlocks = 4)
+
+  // (engine, program, its (state checksum, rounds) on citation(2000, 5, 7), the same on datasetSmall("WK"));
+  // sourced programs start at Eval.defaultSource
+  Seq[(String, VertexProgram => DiGraph => RunResult, VertexProgram, (Long, Int), (Long, Int))](
+    ("sync", sync, PageRank, (-4848182410338496991L, 99), (4302791226609561181L, 60)),
+    ("sync", sync, PHP, (-5047402289769702389L, 55), (-8518265885966911217L, 36)),
+    ("sync", sync, SSSP, (4561840133695990693L, 17), (-138160804116537499L, 9)),
+    ("sync", sync, BFS, (-8485388711279826011L, 14), (-474675777291886747L, 7)),
+    ("sync", sync, CC, (-7715973862221386843L, 5), (7178451787856961381L, 7)),
+    ("sync", sync, SSWP, (-8577000970219918427L, 23), (389959201086431077L, 15)),
+    ("async Default", async(DefaultOrder), PageRank, (7017441848452077982L, 72), (-5939837688810004013L, 33)),
+    ("async Default", async(DefaultOrder), PHP, (-216881952599612287L, 41), (-1728193984628400367L, 20)),
+    ("async Default", async(DefaultOrder), SSSP, (4561840133695990693L, 11), (-138160804116537499L, 7)),
+    ("async Default", async(DefaultOrder), BFS, (-8485388711279826011L, 10), (-474675777291886747L, 5)),
+    ("async Default", async(DefaultOrder), CC, (-7715973862221386843L, 3), (7178451787856961381L, 4)),
+    ("async Default", async(DefaultOrder), SSWP, (-8577000970219918427L, 16), (389959201086431077L, 10)),
+    ("async GoGraph", async(GoGraph), PageRank, (-2094994108627459110L, 39), (-406129793014663894L, 23)),
+    ("async GoGraph", async(GoGraph), PHP, (-4053692876042012804L, 22), (6031844569940786192L, 15)),
+    ("async GoGraph", async(GoGraph), SSSP, (4561840133695990693L, 9), (-138160804116537499L, 5)),
+    ("async GoGraph", async(GoGraph), BFS, (-8485388711279826011L, 6), (-474675777291886747L, 4)),
+    ("async GoGraph", async(GoGraph), CC, (-7715973862221386843L, 4), (7178451787856961381L, 4)),
+    ("async GoGraph", async(GoGraph), SSWP, (-8577000970219918427L, 9), (389959201086431077L, 7)),
+    ("4-block Default", block, PageRank, (-5983843668062149150L, 87), (-7058280330716884352L, 54)),
+    ("4-block Default", block, SSSP, (4561840133695990693L, 15), (-138160804116537499L, 8)),
+  ).foreach { case (engine, run, prog, onCitation, onWk) =>
+    test(s"$engine ${prog.name} states and rounds are pinned by their checksum") {
+      def pin(g: DiGraph): (Long, Int) = { val r = run(prog)(g); (fnv(bits(r.states)), r.rounds) }
+      assert(pin(citation) == onCitation, "on citation(2000, 5, 7)")
+      assert(pin(wk) == onWk, "on datasetSmall(\"WK\")")
+    }
+  }
+
+  test("Fig 7 distances (Eval.convergence, 8 rounds, every competitor) are pinned by their checksum") {
+    val cp = GraphGen.datasetSmall("CP")
+    def pin(p: VertexProgram): Long = fnv(bits(Eval.convergence(cp, p, rounds = 8).flatMap(_.distByRound).toArray))
+    assert(pin(PageRank) == 5046906889797213608L, "PageRank")
+    assert(pin(SSSP) == -5740948878433278363L, "SSSP (converges before round 8 in some orders)")
   }
 }

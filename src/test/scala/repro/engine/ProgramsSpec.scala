@@ -4,6 +4,15 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class ProgramsSpec extends AnyFunSuite {
 
+  /** `prog`'s fold over in-edges from vertices 0, 1, … in turn, edge `i`
+    * given as (state of vertex i, weight, out-degree of vertex i).
+    */
+  private def fold(prog: VertexProgram, edges: (Double, Double, Int)*): Double = {
+    val k   = edges.length
+    val blk = Block(Array(k), Array(0, k), Array.range(0, k), edges.map(_._2).toArray)
+    prog.fold(blk, 0, k, edges.map(_._1).toArray :+ 0.0, edges.map(_._3).toArray :+ 0)
+  }
+
   test("PageRank init is 0 everywhere (monotone-from-below start)") {
     assert(PageRank.init(0, -1) == 0.0)
     assert(PageRank.init(5, -1) == 0.0)
@@ -15,12 +24,12 @@ class ProgramsSpec extends AnyFunSuite {
   }
 
   test("PageRank gather divides by out-degree") {
-    assert(PageRank.gather(0.0, 2.0, 1.0, 4) == 0.5)
+    assert(fold(PageRank, (2.0, 1.0, 4)) == 0.5)
   }
 
   test("PageRank is monotone in neighbor states (Eq. 3 precondition)") {
-    val lo = PageRank.apply(0, 0.0, PageRank.gather(0.0, 1.0, 1.0, 2), -1)
-    val hi = PageRank.apply(0, 0.0, PageRank.gather(0.0, 2.0, 1.0, 2), -1)
+    val lo = PageRank.apply(0, 0.0, fold(PageRank, (1.0, 1.0, 2)), -1)
+    val hi = PageRank.apply(0, 0.0, fold(PageRank, (2.0, 1.0, 2)), -1)
     assert(lo <= hi)
   }
 
@@ -30,8 +39,9 @@ class ProgramsSpec extends AnyFunSuite {
   }
 
   test("SSSP gather takes min-plus") {
-    assert(SSSP.gather(10.0, 3.0, 2.0, 1) == 5.0)
-    assert(SSSP.gather(4.0, 3.0, 2.0, 1) == 4.0)
+    // the first edge leaves 10.0 (then 4.0) in the accumulator
+    assert(fold(SSSP, (8.0, 2.0, 1), (3.0, 2.0, 1)) == 5.0)
+    assert(fold(SSSP, (2.0, 2.0, 1), (3.0, 2.0, 1)) == 4.0)
   }
 
   test("SSSP apply never increases the state (monotone decreasing)") {
@@ -40,12 +50,12 @@ class ProgramsSpec extends AnyFunSuite {
   }
 
   test("BFS gather ignores weights") {
-    assert(BFS.gather(Double.PositiveInfinity, 2.0, 100.0, 1) == 3.0)
+    assert(fold(BFS, (2.0, 100.0, 1)) == 3.0)
   }
 
   test("CC init is the vertex id and gather takes min label") {
     assert(CC.init(7, -1) == 7.0)
-    assert(CC.gather(5.0, 3.0, 1.0, 1) == 3.0)
+    assert(fold(CC, (5.0, 1.0, 1), (3.0, 1.0, 1)) == 3.0)
     assert(CC.needsSymmetric)
   }
 
@@ -60,8 +70,9 @@ class ProgramsSpec extends AnyFunSuite {
   }
 
   test("SSWP gather is max of min(capacity, weight)") {
-    assert(SSWP.gather(2.0, 10.0, 4.0, 1) == 4.0)
-    assert(SSWP.gather(5.0, 10.0, 4.0, 1) == 5.0)
+    // the first edge leaves 2.0 (then 5.0) in the accumulator
+    assert(fold(SSWP, (2.0, 5.0, 1), (10.0, 4.0, 1)) == 4.0)
+    assert(fold(SSWP, (5.0, 9.0, 1), (10.0, 4.0, 1)) == 5.0)
   }
 
   test("SSWP source keeps infinite capacity") {

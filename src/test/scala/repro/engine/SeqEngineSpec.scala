@@ -206,6 +206,27 @@ class SeqEngineSpec extends AnyFunSuite {
     assert(res.rounds == 2 && !res.converged)
   }
 
+  test("async's per-round callback sees the states of a run capped at that round, bit for bit") {
+    val g = GraphGen.rmat(200, 1400, seed = 84)
+    val o = DefaultOrder.order(g)
+    for ((prog, s) <- Seq[(VertexProgram, Int)](PageRank -> -1, SSSP -> (0 until 200).maxBy(g.outDegree))) {
+      val seen = Array.newBuilder[(Int, Double, Int, Array[Double])]
+      val res  = SeqEngine.async(g, prog, o, s, onRound = (k, d, c, x) => seen += ((k, d, c, x.clone())))
+      val rs   = seen.result()
+      assert(rs.map(_._1).toSeq == (1 to res.rounds), prog.name)
+      var prev = SeqEngine.initialStates(prog, g.numVertices, s)
+      rs.foreach { case (k, d, changed, x) =>
+        val capped = SeqEngine.async(g, prog, o, s, maxRounds = k).states
+        assert(x.map(java.lang.Double.doubleToRawLongBits).sameElements(
+          capped.map(java.lang.Double.doubleToRawLongBits)), s"${prog.name} round $k")
+        val deltas = prev.indices.map(v => math.abs(x(v) - prev(v))).filterNot(_.isNaN)
+        assert(d == (0.0 +: deltas).max, s"${prog.name} round $k max |Δ|")
+        assert(changed == prev.indices.count(v => x(v) != prev(v)), s"${prog.name} round $k changed")
+        prev = x
+      }
+    }
+  }
+
   test("symmetrize doubles edges and mirrors adjacency") {
     val g = DiGraph.unweighted(3, Seq((0, 1), (1, 2)))
     val s = SeqEngine.symmetrize(g)
