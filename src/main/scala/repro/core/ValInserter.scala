@@ -18,26 +18,34 @@ package repro.core
   *
   * Midpoint bisection can exhaust double precision between two adjacent
   * vals; when that happens all placed vals are renumbered rank·STEP.
+  *
+  * Everything is primitive: an insert's entries are sorted in one reusable
+  * buffer (insertion sort up to [[ValInserter.ShortSort]] entries, merged
+  * runs beyond), and [[result]] is a stable radix sort of the placed ids by
+  * the order-preserving bits of their vals.
   */
 final class ValInserter(n: Int) {
+  import ValInserter.ShortSort
+
   private val STEP      = 1024.0
   private val vals      = new Array[Double](n)
   private val isPlaced  = new Array[Boolean](n)
   private var maxV      = 0.0
   private var nPlaced   = 0
+  // one insert's entries (an out-entry u is stored as ~u) and the merge target
+  private var es        = new Array[Int](ShortSort)
+  private var merged    = new Array[Int](ShortSort)
 
   def size: Int                = nPlaced
   def placed(v: Int): Boolean  = isPlaced(v)
   def valOf(v: Int): Double    = { require(isPlaced(v), s"node $v not placed"); vals(v) }
 
-  /** Pre-seed with an already-decided order (used when splicing subgraph
-    * orders before inserting high-degree / isolated vertices).
+  /** Place `v` at the tail. Splices an already-decided order (subgraph
+    * orders, before high-degree / isolated vertices are inserted).
     */
-  def seed(nodesInOrder: IterableOnce[Int]): Unit = {
-    nodesInOrder.iterator.foreach { v =>
-      require(!isPlaced(v), s"node $v already placed")
-      place(v, if (nPlaced == 0) 0.0 else maxV + STEP)
-    }
+  def seed(v: Int): Unit = {
+    require(!isPlaced(v), s"node $v already placed")
+    place(v, if (nPlaced == 0) 0.0 else maxV + STEP)
   }
 
   private def place(v: Int, value: Double): Unit = {
@@ -47,16 +55,11 @@ final class ValInserter(n: Int) {
     nPlaced += 1
   }
 
-  /** Placed nodes by (val, id): the processing order. */
-  private val byVal: Ordering[Int] = (a, b) => {
-    val c = java.lang.Double.compare(vals(a), vals(b))
-    if (c != 0) c else Integer.compare(a, b)
-  }
-
   /** Renumber all placed vals to rank·STEP (precision recovery). */
   private def renormalize(): Unit = {
     val placedNodes = result()
-    placedNodes.indices.foreach(r => vals(placedNodes(r)) = r * STEP)
+    var r = 0
+    while (r < placedNodes.length) { vals(placedNodes(r)) = r * STEP; r += 1 }
     if (placedNodes.nonEmpty) maxV = (placedNodes.length - 1) * STEP
   }
 
@@ -65,35 +68,47 @@ final class ValInserter(n: Int) {
     * neighbor). Unplaced entries are rejected. Returns the number of edges
     * made positive.
     */
-  def insert(node: Int, inN: Array[Int], outN: Array[Int]): Int = {
-    require(!isPlaced(node), s"node $node already placed")
-    (inN ++ outN).foreach(u => require(isPlaced(u), s"neighbor $u not placed"))
+  def insert(node: Int, inN: Array[Int], outN: Array[Int]): Int =
+    insert(node, inN, inN.length, outN, outN.length)
 
-    if (inN.isEmpty && outN.isEmpty) {
+  /** [[insert]] over the first `nIn` entries of `inN` and the first `nOut`
+    * of `outN`, so a caller can hand over reusable buffers.
+    */
+  def insert(node: Int, inN: Array[Int], nIn: Int, outN: Array[Int], nOut: Int): Int = {
+    require(!isPlaced(node), s"node $node already placed")
+    val len = nIn + nOut
+    if (es.length < len) {
+      es = new Array[Int](math.max(len, 2 * es.length)); merged = new Array[Int](es.length)
+    }
+    var i = 0
+    while (i < nIn) { val u = inN(i); require(isPlaced(u), s"neighbor $u not placed"); es(i) = u; i += 1 }
+    i = 0
+    while (i < nOut) { val u = outN(i); require(isPlaced(u), s"neighbor $u not placed"); es(nIn + i) = ~u; i += 1 }
+
+    if (len == 0) {
       // no placed neighbors: append to the tail (position is irrelevant to M)
       place(node, if (nPlaced == 0) 0.0 else maxV + STEP)
       return 0
     }
 
-    // entries sorted by neighbor (val, id); an out-entry u is stored as ~u,
-    // so the entries of one neighbor are adjacent
-    def nbr(e: Int): Int = if (e < 0) ~e else e
-    val es = (inN ++ outN.map(~_)).sorted(byVal.on(nbr))
+    // entries sorted by neighbor (val, id), so the entries of one neighbor
+    // are adjacent
+    sortEntries(len)
 
-    var pe      = outN.length // before all neighbors: out-edges positive
+    var pe      = nOut // before all neighbors: out-edges positive
     var bestPe  = pe
-    var bestEnd = -1          // last entry before the chosen position; -1 = head
-    var i = 0
-    while (i < es.length) {
+    var bestEnd = -1   // last entry before the chosen position; -1 = head
+    i = 0
+    while (i < len) {
       pe += (if (es(i) < 0) -1 else 1)
       i += 1
       // M changes only between distinct neighbors
-      if ((i == es.length || nbr(es(i)) != nbr(es(i - 1))) && pe > bestPe) { bestPe = pe; bestEnd = i - 1 }
+      if ((i == len || nbr(es(i)) != nbr(es(i - 1))) && pe > bestPe) { bestPe = pe; bestEnd = i - 1 }
     }
 
     val value =
       if (bestEnd == -1) vals(nbr(es(0))) - STEP
-      else if (bestEnd == es.length - 1) vals(nbr(es(bestEnd))) + STEP
+      else if (bestEnd == len - 1) vals(nbr(es(bestEnd))) + STEP
       else {
         var lo = vals(nbr(es(bestEnd))); var hi = vals(nbr(es(bestEnd + 1)))
         var mid = (lo + hi) / 2.0
@@ -108,6 +123,95 @@ final class ValInserter(n: Int) {
     bestPe
   }
 
-  /** Placed nodes sorted by (val, id) — the processing order so far. */
-  def result(): Array[Int] = Array.range(0, n).filter(isPlaced).sorted(byVal)
+  private def nbr(e: Int): Int = if (e < 0) ~e else e
+
+  /** Entry `a` goes before entry `b`: its neighbor has the smaller (val, id). */
+  private def before(a: Int, b: Int): Boolean = {
+    val u = nbr(a); val w = nbr(b)
+    val c = java.lang.Double.compare(vals(u), vals(w))
+    c < 0 || (c == 0 && u < w)
+  }
+
+  /** Sort `es(0 until len)`: insertion sort of each run of [[ShortSort]]
+    * entries, then bottom-up merges of neighbouring runs.
+    */
+  private def sortEntries(len: Int): Unit = {
+    var lo = 0
+    while (lo < len) {
+      val hi = math.min(lo + ShortSort, len)
+      var i  = lo + 1
+      while (i < hi) {
+        val e = es(i); var j = i - 1
+        while (j >= lo && before(e, es(j))) { es(j + 1) = es(j); j -= 1 }
+        es(j + 1) = e
+        i += 1
+      }
+      lo = hi
+    }
+    var width = ShortSort
+    while (width < len) {
+      lo = 0
+      while (lo < len) {
+        val mid = math.min(lo + width, len); val hi = math.min(mid + width, len)
+        var i = lo; var j = mid; var k = lo
+        while (k < hi) {
+          if (j == hi || (i < mid && !before(es(j), es(i)))) { merged(k) = es(i); i += 1 }
+          else { merged(k) = es(j); j += 1 }
+          k += 1
+        }
+        lo = hi
+      }
+      val t = es; es = merged; merged = t
+      width *= 2
+    }
+  }
+
+  /** Placed nodes sorted by (val, id) — the processing order so far. An LSD
+    * radix sort, one byte a pass, of the vals' order-preserving bits; the
+    * ids enter in ascending order and every pass is stable, so equal vals
+    * stay in id order. A byte that every val shares costs no pass.
+    */
+  def result(): Array[Int] = {
+    var ids  = new Array[Int](nPlaced)
+    var keys = new Array[Long](nPlaced)
+    val count = new Array[Int](8 * 256) // per byte position, one count per byte value
+    var k = 0; var v = 0
+    while (v < n) {
+      if (isPlaced(v)) {
+        val b   = java.lang.Double.doubleToRawLongBits(vals(v))
+        val key = if (b < 0) ~b else b ^ Long.MinValue // unsigned order = numeric order
+        ids(k) = v; keys(k) = key; k += 1
+        var d = 0
+        while (d < 8) { count(d * 256 + ((key >>> (8 * d)) & 0xff).toInt) += 1; d += 1 }
+      }
+      v += 1
+    }
+    var ids2 = new Array[Int](nPlaced); var keys2 = new Array[Long](nPlaced)
+    var d = 0
+    while (d < 8 && nPlaced > 0) {
+      val base = d * 256
+      if (count(base + ((keys(0) >>> (8 * d)) & 0xff).toInt) != nPlaced) {
+        var at = 0; var c = 0
+        while (c < 256) { val x = count(base + c); count(base + c) = at; at += x; c += 1 }
+        k = 0
+        while (k < nPlaced) {
+          val key = keys(k); val slot = base + ((key >>> (8 * d)) & 0xff).toInt
+          ids2(count(slot)) = ids(k); keys2(count(slot)) = key; count(slot) += 1
+          k += 1
+        }
+        val ti = ids; ids = ids2; ids2 = ti
+        val tk = keys; keys = keys2; keys2 = tk
+      }
+      d += 1
+    }
+    ids
+  }
+}
+
+object ValInserter {
+
+  /** Entry lists up to this length are insertion-sorted; longer ones are
+    * merged from insertion-sorted runs of this length.
+    */
+  private[core] val ShortSort = 24
 }

@@ -40,7 +40,7 @@ object SeqEngine {
     val m   = 2 * g.numEdges
     val src = new Array[Int](m); val dst = new Array[Int](m); val wgt = new Array[Double](m)
     var e   = 0
-    g.foreachEdge { (u, v, w) =>
+    g.walkEdges { (u, v, w) =>
       src(e) = u; dst(e) = v; src(e + 1) = v; dst(e + 1) = u; wgt(e) = w; wgt(e + 1) = w
       e += 2
     }

@@ -33,15 +33,24 @@ final class DiGraph private[graph] (
   def inDegree(v: Int): Int  = inOff(v + 1) - inOff(v)
 
   /** Every vertex's out-degree, indexed by id. */
-  def outDegrees: Array[Int] = {
-    val d = new Array[Int](numVertices)
-    var v = 0
-    while (v < numVertices) { d(v) = outOff(v + 1) - outOff(v); v += 1 }
-    d
-  }
+  def outDegrees: Array[Int] = perVertex(outDegree)
 
   /** Total degree = in + out (parallel edges counted). */
   def degree(v: Int): Int = outDegree(v) + inDegree(v)
+
+  /** Every vertex's in-degree, indexed by id. */
+  def inDegrees: Array[Int] = perVertex(inDegree)
+
+  /** Every vertex's total [[degree]], indexed by id. */
+  def degrees: Array[Int] = perVertex(degree)
+
+  // `Int => Int` is specialized, so this fill boxes nothing
+  private def perVertex(f: Int => Int): Array[Int] = {
+    val d = new Array[Int](numVertices)
+    var v = 0
+    while (v < numVertices) { d(v) = f(v); v += 1 }
+    d
+  }
 
   /** Apply `f` to each out-neighbor of `v`, with multiplicity, in CSR order. */
   def foreachOut(v: Int)(f: Int => Unit): Unit = {
@@ -82,17 +91,24 @@ final class DiGraph private[graph] (
     var head    = 0; var tail = 0
     var v       = -1
     val visit   = (u: Int) => if (!reached(u) && keep(v, u)) { reached(u) = true; order(tail) = u; tail += 1 }
-    seeds.foreach { seed =>
+    var s       = 0
+    while (s < seeds.length) {
+      val seed = seeds(s)
       if (!reached(seed)) { reached(seed) = true; order(tail) = seed; tail += 1 }
       while (head < tail) { v = order(head); head += 1; foreachNeighbor(v)(visit) }
+      s += 1
     }
     var i = 0
     while (i < order.length) { reached(order(i)) = false; i += 1 }
     order
   }
 
-  /** Apply `f(src, dst, weight)` to every edge. */
-  def foreachEdge(f: (Int, Int, Double) => Unit): Unit = {
+  /** Apply `f(src, dst, weight)` to every edge, in out-CSR order (by
+    * source, then in each source's adjacency order). The edge walk: a lambda
+    * converts to [[DiGraph.EdgeFn]], whose parameters are primitive, so no
+    * value is boxed per edge.
+    */
+  def walkEdges(f: DiGraph.EdgeFn): Unit = {
     var u = 0
     while (u < numVertices) {
       var i = outOff(u)
@@ -100,6 +116,13 @@ final class DiGraph private[graph] (
       u += 1
     }
   }
+
+  /** [[walkEdges]] through a `Function3`, which is not specialized and so
+    * boxes all three values of every edge. Only for adapters that build an
+    * object per edge anyway ([[edges]], [[edgesDF]], edge-list exports);
+    * every algorithm uses [[walkEdges]].
+    */
+  def foreachEdge(f: (Int, Int, Double) => Unit): Unit = walkEdges(f(_, _, _))
 
   /** All edges as (src, dst, weight) triples. */
   def edges: Seq[(Int, Int, Double)] = {
@@ -112,10 +135,12 @@ final class DiGraph private[graph] (
   /** Graph with every vertex id `v` replaced by `perm(v)`; same topology. */
   def relabel(perm: Array[Int]): DiGraph = {
     require(perm.length == numVertices, s"perm size ${perm.length} != $numVertices")
-    val src = new Array[Int](numEdges)
+    val src = new Array[Int](numEdges); val dst = new Array[Int](numEdges)
     var u   = 0
     while (u < numVertices) { java.util.Arrays.fill(src, outOff(u), outOff(u + 1), perm(u)); u += 1 }
-    DiGraph.fromArrays(numVertices, src, outAdj.map(perm), outWgt)
+    var i   = 0
+    while (i < numEdges) { dst(i) = perm(outAdj(i)); i += 1 }
+    DiGraph.fromArrays(numVertices, src, dst, outWgt)
   }
 
   /** Edge list as a DataFrame `(src: long, dst: long, weight: double)`. */
@@ -134,6 +159,11 @@ final class DiGraph private[graph] (
 }
 
 object DiGraph {
+
+  /** A visitor of one edge (src, dst, weight) with primitive parameters; see
+    * [[DiGraph.walkEdges]].
+    */
+  trait EdgeFn { def apply(src: Int, dst: Int, weight: Double): Unit }
 
   /** Build from parallel edge arrays: edge `i` is `src(i) -> dst(i)` with
     * weight `wgt(i)`. Every endpoint is validated, then self-loops are

@@ -21,9 +21,11 @@ object DegreeSort extends Reorder {
     * hub list, Gorder's fallback seeds and GoGraph's high-degree extraction.
     */
   def ranking(g: DiGraph): Array[Int] = {
-    val deg = Array.tabulate(g.numVertices)(g.degree)
-    val max = if (deg.isEmpty) 0 else deg.max
-    Partitioner.ranking(deg.map(max - _))
+    val key = g.degrees
+    val max = Partitioner.numParts(key) - 1 // the largest degree
+    var v   = 0
+    while (v < key.length) { key(v) = max - key(v); v += 1 }
+    Partitioner.ranking(key)
   }
 }
 
@@ -39,8 +41,8 @@ object HubSort extends Reorder {
     val avg   = if (n == 0) 0.0 else g.numEdges.toDouble * 2 / n
     // the hubs are the ranking's prefix of vertices with degree > avg
     val hubs  = DegreeSort.ranking(g).takeWhile(v => g.degree(v) > avg)
-    val order = Array.tabulate(n)(i => i)
-    val pos   = Array.tabulate(n)(i => i)
+    val order = Array.range(0, n)
+    val pos   = Array.range(0, n)
     hubs.indices.foreach { i =>
       val h  = hubs(i)
       val ph = pos(h)
@@ -62,7 +64,9 @@ object HubCluster extends Reorder {
     val n   = g.numVertices
     val avg = if (n == 0) 0.0 else g.numEdges.toDouble * 2 / n
     // hubs (key 0) first; the stable ranking keeps ids ascending in each group
-    val hubFirst = Array.tabulate(n)(v => if (g.degree(v) > avg) 0 else 1)
+    val hubFirst = new Array[Int](n)
+    var v        = 0
+    while (v < n) { if (g.degree(v) <= avg) hubFirst(v) = 1; v += 1 }
     VertexOrder.fromOrder(Partitioner.ranking(hubFirst))
   }
 }

@@ -19,8 +19,13 @@ object RabbitOrder extends Reorder {
     val labels = RabbitPartition.partition(g, 0)
     // labels number communities by their smallest member, so ranking by
     // label lays them out in that order; within one, seeds go by (degree, id)
-    val byDeg = Partitioner.ranking(Array.tabulate(g.numVertices)(g.degree))
-    val seeds = Partitioner.ranking(byDeg.map(labels)).map(byDeg)
+    val byDeg = Partitioner.ranking(g.degrees)
+    val label = new Array[Int](byDeg.length)
+    var i     = 0
+    while (i < byDeg.length) { label(i) = labels(byDeg(i)); i += 1 }
+    val seeds = Partitioner.ranking(label)
+    i = 0
+    while (i < seeds.length) { seeds(i) = byDeg(seeds(i)); i += 1 }
     VertexOrder.fromOrder(g.bfsOrder(seeds)((v, u) => labels(u) == labels(v)))
   }
 }

@@ -28,7 +28,8 @@ object VertexOrder {
   /** Build from `order(i) = vertex at position i`; validates a permutation. */
   def fromOrder(order: Array[Int]): VertexOrder = {
     val n   = order.length
-    val pos = Array.fill(n)(-1)
+    val pos = new Array[Int](n)
+    java.util.Arrays.fill(pos, -1)
     var i   = 0
     while (i < n) {
       val v = order(i)
@@ -43,7 +44,8 @@ object VertexOrder {
   /** Build from `pos(v) = ordinal of vertex v`. */
   def fromPos(pos: Array[Int]): VertexOrder = {
     val n     = pos.length
-    val order = Array.fill(n)(-1)
+    val order = new Array[Int](n)
+    java.util.Arrays.fill(order, -1)
     var v     = 0
     while (v < n) {
       val p = pos(v)
@@ -56,7 +58,7 @@ object VertexOrder {
   }
 
   /** The identity (Default) order. */
-  def identity(n: Int): VertexOrder = fromOrder(Array.tabulate(n)(i => i))
+  def identity(n: Int): VertexOrder = fromOrder(Array.range(0, n))
 }
 
 /** The paper's metric function M(·) (Eq. 7): the number of positive edges —
@@ -68,7 +70,7 @@ object Metric {
   def positiveEdges(g: DiGraph, o: VertexOrder): Long = {
     require(o.n == g.numVertices, s"order size ${o.n} != |V|=${g.numVertices}")
     var m = 0L
-    g.foreachEdge((u, v, _) => if (o.pos(u) < o.pos(v)) m += 1)
+    g.walkEdges((u, v, _) => if (o.pos(u) < o.pos(v)) m += 1)
     m
   }
 

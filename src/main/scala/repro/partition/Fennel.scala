@@ -26,9 +26,18 @@ object Fennel extends Partitioner {
     val alpha = math.sqrt(kk.toDouble) * m / math.pow(n.toDouble, Gamma)
     val cap   = math.max(1.0, Nu * n.toDouble / kk)
 
-    val labels = Array.fill(n)(-1)
+    val labels = new Array[Int](n)
+    java.util.Arrays.fill(labels, -1)
     val sizes  = new Array[Int](kk)
     val nbrCnt = new Array[Int](kk)
+    // each part's penalty α((s+1)^γ − s^γ) at its size s, recomputed only
+    // when the part grows
+    def penalty(size: Int): Double = {
+      val s = size.toDouble
+      alpha * (math.pow(s + 1, Gamma) - math.pow(s, Gamma))
+    }
+    val pen    = new Array[Double](kk)
+    java.util.Arrays.fill(pen, penalty(0))
     var v = 0
     while (v < n) {
       java.util.Arrays.fill(nbrCnt, 0)
@@ -38,8 +47,7 @@ object Fennel extends Partitioner {
       var p = 0
       while (p < kk) {
         if (sizes(p) + 1 <= cap) {
-          val s = sizes(p).toDouble
-          val score = nbrCnt(p) - alpha * (math.pow(s + 1, Gamma) - math.pow(s, Gamma))
+          val score = nbrCnt(p) - pen(p)
           if (score > bestScore) { bestScore = score; best = p }
         }
         p += 1
@@ -47,6 +55,7 @@ object Fennel extends Partitioner {
       if (best == -1) best = sizes.zipWithIndex.minBy(_._1)._2 // all capped: least loaded
       labels(v) = best
       sizes(best) += 1
+      pen(best) = penalty(sizes(best))
       v += 1
     }
     Partitioner.compact(labels)

@@ -18,11 +18,13 @@ object Louvain extends Partitioner {
   def partition(g: DiGraph, k: Int): Array[Int] = {
     val n = g.numVertices
     if (n == 0) return Array.empty
-    if (g.numEdges == 0) return Array.tabulate(n)(identity)
+    if (g.numEdges == 0) return Array.range(0, n)
     val m2 = 2.0 * g.numEdges
 
-    val comm    = Array.tabulate(n)(identity)
-    val deg     = Array.tabulate(n)(v => g.degree(v).toDouble)
+    val comm    = Array.range(0, n)
+    val deg     = new Array[Double](n)
+    var i       = 0
+    while (i < n) { deg(i) = g.degree(i); i += 1 }
     val commDeg = deg.clone()
 
     val wTo = new Tally(n)

@@ -19,7 +19,7 @@ object MetisLike extends Partitioner {
     if (n == 0) return Array.empty
     val kk     = math.max(1, math.min(k, n))
     val labels = new Array[Int](n)
-    bisect(Partitioner.ranking(Array.tabulate(n)(g.degree)), kk, 0, g, labels, new Array[Boolean](n))
+    bisect(Partitioner.ranking(g.degrees), kk, 0, g, labels, new Array[Boolean](n))
     Partitioner.compact(labels)
   }
 
@@ -34,11 +34,23 @@ object MetisLike extends Partitioner {
     if (parts > 1 && vs.length > 1) {
       val leftParts  = parts / 2
       val leftTarget = (vs.length.toLong * leftParts / parts).toInt.max(1)
-      // grow the left side by BFS from the lowest-degree vertex (peripheral seed)
+      // grow the left side by BFS from the lowest-degree vertex (peripheral
+      // seed); the BFS reaches all of vs, and every vertex past the target
+      // goes right
       val grown = g.bfsOrder(vs, reached)((_, u) => labels(u) == base)
-      grown.drop(leftTarget).foreach(labels(_) = base + leftParts)
-      // filtering keeps each half in (degree, id) order
-      bisect(vs.filter(labels(_) == base), leftParts, base, g, labels, reached)
-      bisect(vs.filter(labels(_) == base + leftParts), parts - leftParts, base + leftParts, g, labels, reached)
+      var i = leftTarget
+      while (i < grown.length) { labels(grown(i)) = base + leftParts; i += 1 }
+      // one pass over vs splits it, keeping each half in (degree, id) order
+      val left  = new Array[Int](leftTarget)
+      val right = new Array[Int](vs.length - leftTarget)
+      var l = 0; var r = 0
+      i = 0
+      while (i < vs.length) {
+        val v = vs(i)
+        if (labels(v) == base) { left(l) = v; l += 1 } else { right(r) = v; r += 1 }
+        i += 1
+      }
+      bisect(left, leftParts, base, g, labels, reached)
+      bisect(right, parts - leftParts, base + leftParts, g, labels, reached)
     }
 }

@@ -19,9 +19,18 @@ object Partitioner {
   /** Compact labels (each >= 0) to dense ids 0 until K, preserving
     * first-seen order: parts are numbered by their smallest member. */
   def compact(labels: Array[Int]): Array[Int] = {
-    val id   = Array.fill(numParts(labels))(-1)
+    val id   = new Array[Int](numParts(labels))
+    java.util.Arrays.fill(id, -1)
+    val out  = new Array[Int](labels.length)
     var next = 0
-    labels.map { l => if (id(l) < 0) { id(l) = next; next += 1 }; id(l) }
+    var i    = 0
+    while (i < labels.length) {
+      val l = labels(i)
+      if (id(l) < 0) { id(l) = next; next += 1 }
+      out(i) = id(l)
+      i += 1
+    }
+    out
   }
 
   /** Stable counting sort of the indices of `keys` (each in `0 until k`):
@@ -30,11 +39,14 @@ object Partitioner {
     */
   def bucket(keys: Array[Int], k: Int): (Array[Int], Array[Int]) = {
     val off = new Array[Int](k + 1)
-    keys.foreach(key => off(key + 1) += 1)
-    (0 until k).foreach(b => off(b + 1) += off(b))
+    var i   = 0
+    while (i < keys.length) { off(keys(i) + 1) += 1; i += 1 }
+    var b   = 0
+    while (b < k) { off(b + 1) += off(b); b += 1 }
     val fill = off.clone()
     val out  = new Array[Int](keys.length)
-    keys.indices.foreach { i => out(fill(keys(i))) = i; fill(keys(i)) += 1 }
+    i = 0
+    while (i < keys.length) { out(fill(keys(i))) = i; fill(keys(i)) += 1; i += 1 }
     (off, out)
   }
 
@@ -42,12 +54,17 @@ object Partitioner {
   def ranking(keys: Array[Int]): Array[Int] = bucket(keys, numParts(keys))._2
 
   /** Number of distinct partitions in a dense labeling: the largest label + 1. */
-  def numParts(labels: Array[Int]): Int = if (labels.isEmpty) 0 else labels.max + 1
+  def numParts(labels: Array[Int]): Int = {
+    var max = -1
+    var i   = 0
+    while (i < labels.length) { if (labels(i) > max) max = labels(i); i += 1 }
+    max + 1
+  }
 
   /** Edges whose endpoints share a partition (locality quality measure). */
   def internalEdges(g: DiGraph, labels: Array[Int]): Long = {
     var c = 0L
-    g.foreachEdge((u, v, _) => if (labels(u) == labels(v)) c += 1)
+    g.walkEdges((u, v, _) => if (labels(u) == labels(v)) c += 1)
     c
   }
 }

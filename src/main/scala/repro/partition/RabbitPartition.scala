@@ -16,9 +16,9 @@ object RabbitPartition extends Partitioner {
     val n = g.numVertices
     if (n == 0) return Array.empty
     val m2 = 2.0 * g.numEdges // undirected degree mass
-    if (g.numEdges == 0) return Array.tabulate(n)(identity)
+    if (g.numEdges == 0) return Array.range(0, n)
 
-    val parent = Array.tabulate(n)(identity)
+    val parent = Array.range(0, n)
     def find(x: Int): Int = {
       var r = x
       while (parent(r) != r) r = parent(r)
@@ -27,10 +27,16 @@ object RabbitPartition extends Partitioner {
       r
     }
     // community total (undirected) degree
-    val commDeg = Array.tabulate(n)(v => g.degree(v).toDouble)
+    val deg     = g.degrees
+    val commDeg = new Array[Double](n)
+    var i       = 0
+    while (i < n) { commDeg(i) = deg(i); i += 1 }
 
-    val wTo = new Tally(n)
-    Partitioner.ranking(Array.tabulate(n)(g.degree)).foreach { v =>
+    val wTo   = new Tally(n)
+    val visit = Partitioner.ranking(deg)
+    i = 0
+    while (i < n) {
+      val v  = visit(i)
       val rv = find(v)
       wTo.clear()
       g.foreachNeighbor(v) { u => val ru = find(u); if (ru != rv) wTo.add(ru) }
@@ -49,7 +55,11 @@ object RabbitPartition extends Partitioner {
           commDeg(bestC) += commDeg(rv)
         }
       }
+      i += 1
     }
-    Partitioner.compact(Array.tabulate(n)(find))
+    val root = new Array[Int](n)
+    i = 0
+    while (i < n) { root(i) = find(i); i += 1 }
+    Partitioner.compact(root)
   }
 }

@@ -56,6 +56,20 @@ class PinnedOutputsSpec extends SparkSpec {
     }
   }
 
+  // GoGraph's order under each divide at benchmark size, where the entry
+  // merge sort, the radix sort of the result and renormalization all run
+  private lazy val citation20k = GraphGen.citation(20000, 5, 1)
+  Seq[(Partitioner, Long)](
+    (RabbitPartition, 5928967135364927051L),
+    (MetisLike, 2236530913554862563L),
+    (Louvain, 3574021367669771271L),
+    (Fennel, -2259820814332359885L),
+  ).foreach { case (p, onCitation20k) =>
+    test(s"GoGraph (${p.name} divide) order on citation(20000, 5, 1) is pinned by its checksum") {
+      assert(fnv(gograph(p)(citation20k)) == onCitation20k)
+    }
+  }
+
   private def source(g: DiGraph, p: VertexProgram): Int = if (p.sourced) Eval.defaultSource(g) else -1
   private def sync(p: VertexProgram): DiGraph => RunResult = g => SeqEngine.sync(g, p, source(g, p))
   private def async(r: Reorder)(p: VertexProgram): DiGraph => RunResult =

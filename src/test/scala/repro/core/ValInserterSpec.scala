@@ -130,34 +130,38 @@ class ValInserterSpec extends AnyFunSuite {
 
   test("seed places nodes in the given order") {
     val ins = new ValInserter(5)
-    ins.seed(Seq(3, 1, 4))
+    Seq(3, 1, 4).foreach(ins.seed)
     assert(ins.result().toSeq == Seq(3, 1, 4))
     assert(ins.size == 3)
   }
 
   test("seed then insert keeps relative seeded order") {
     val ins = new ValInserter(4)
-    ins.seed(Seq(0, 1, 2))
+    Seq(0, 1, 2).foreach(ins.seed)
     ins.insert(3, Array(0), Array(1)) // between 0 and 1
     assert(ins.result().toSeq == Seq(0, 3, 1, 2))
   }
 
   test("deep nesting triggers renormalization without breaking the order") {
-    // nodes 0 (head) and 1 (tail); each node i>1 has in-edge from 0 and
-    // out-edge to node i-1 — forcing insertion between 0 and i-1, which
-    // halves the val interval every time until renormalization kicks in
+    // nodes 0 (val 1024, after a neighborless node n at val 0) and 1 (tail);
+    // each node i>1 has in-edge from 0 and out-edge to node i-1 — forcing
+    // insertion between 0 and i-1, which halves the val interval every time
+    // until renormalization kicks in (bisecting towards 0.0 would reach the
+    // subnormals first and never exhaust precision)
     val n   = 120
-    val ins = new ValInserter(n)
+    val ins = new ValInserter(n + 1)
+    ins.insert(n, none, none)
     ins.insert(0, none, none)
     ins.insert(1, Array(0), none)
     (2 until n).foreach { i =>
       val pe = ins.insert(i, Array(0), Array(i - 1))
       assert(pe == 2, s"node $i should place both its edges positively")
     }
+    assert(ins.valOf(1) > 2048.0, "renormalization renumbers vals to rank·1024")
     val res = ins.result()
-    assert(res.sorted.toSeq == (0 until n), "result must be a permutation")
+    assert(res.sorted.toSeq == (0 to n), "result must be a permutation")
     // every node i>=2 must sit after 0 and before i-1
-    val pos = new Array[Int](n)
+    val pos = new Array[Int](n + 1)
     res.zipWithIndex.foreach { case (v, p) => pos(v) = p }
     (2 until n).foreach { i =>
       assert(pos(0) < pos(i), s"node $i must follow node 0")
@@ -181,6 +185,53 @@ class ValInserterSpec extends AnyFunSuite {
         placed += v
       }
     }
+  }
+
+  test("matches the boxed reference model after every step") {
+    // random ids, so (val, id) ties are broken by id, driven through five
+    // kinds of insert: a burst into one gap (renormalization), head and tail
+    // inserts (val ties), short two-sided lists with parallel entries, and
+    // lists longer than the short-sort cutoff
+    val cut = ValInserter.ShortSort
+    var renormalized = 0
+    (1 to 5).foreach { seed =>
+      val rnd = new scala.util.Random(seed)
+      val n   = 600
+      val ins = new ValInserter(n); val ref = new BoxedValInserter(n)
+      val placed = scala.collection.mutable.ArrayBuffer.empty[Int]
+      var gapLo = -1; var gapHi = -1; var burst = 0
+      def pick(k: Int): Array[Int] = Array.fill(k)(placed(rnd.nextInt(placed.size)))
+      def ranks(order: Array[Int]): Boolean = order.indices.forall(r => ins.valOf(order(r)) == r * 1024.0)
+      rnd.shuffle((0 until n).toVector).foreach { v =>
+        if (burst == 0 && placed.size >= 2 && rnd.nextInt(30) == 0) {
+          // a burst: each node goes between gapLo and the previous one
+          val order = ref.result(); val a = rnd.nextInt(order.length - 1)
+          gapLo = order(a); gapHi = order(a + 1 + rnd.nextInt(order.length - a - 1)); burst = 70
+        }
+        val (inN, outN) =
+          if (placed.isEmpty) (none, none)
+          else if (burst > 0) (Array(gapLo), Array(gapHi))
+          else rnd.nextInt(5) match {
+            case 1 => (none, pick(1 + rnd.nextInt(3)))
+            case 2 => (pick(1 + rnd.nextInt(3)), none)
+            case 3 => (pick(cut + rnd.nextInt(2 * cut)), pick(cut + rnd.nextInt(2 * cut)))
+            case 4 => (none, none)
+            case _ => (pick(rnd.nextInt(4)), pick(rnd.nextInt(4)))
+          }
+        val wasRanks = ranks(ins.result())
+        assert(ins.insert(v, inN, outN) == ref.insert(v, inN, outN), s"pe of $v (seed $seed)")
+        if (burst > 0) { burst -= 1; gapHi = v }
+        placed += v
+        val order = ins.result()
+        assert(order.sameElements(ref.result()), s"order after $v (seed $seed)")
+        order.foreach { u =>
+          assert(java.lang.Double.doubleToRawLongBits(ins.valOf(u)) ==
+            java.lang.Double.doubleToRawLongBits(ref.valOf(u)), s"val of $u after $v (seed $seed)")
+        }
+        if (!wasRanks && ranks(order.filter(_ != v))) renormalized += 1
+      }
+    }
+    assert(renormalized > 0, "the gap bursts must force renormalization")
   }
 
   test("valOf rejects unplaced nodes") {

@@ -100,6 +100,17 @@ class DiGraphSpec extends SparkSpec {
     assert(seen == Set((0, 1), (0, 2), (1, 3), (2, 3)))
   }
 
+  test("walkEdges visits the edges foreachEdge does, in the same order, and degrees match") {
+    val g = GraphGen.rmat(300, 2000, seed = 12)
+    val walked = Seq.newBuilder[(Int, Int, Double)]
+    g.walkEdges((u, v, w) => walked += ((u, v, w)))
+    assert(walked.result() == g.edges)
+    val vs = (0 until g.numVertices).toSeq
+    assert(g.degrees.toSeq == vs.map(g.degree))
+    assert(g.inDegrees.toSeq == vs.map(g.inDegree))
+    assert(g.outDegrees.toSeq == vs.map(g.outDegree))
+  }
+
   test("property: foreachNeighbor walks out-edges, then in-edges, in CSR order") {
     val graphs = Seq(GraphGen.rmat(300, 2000, seed = 12), GraphGen.rmat(500, 1500, seed = 13),
                      GraphGen.citation(400, 4, seed = 14), GraphGen.citation(300, 3, seed = 15, noise = 0.3))
