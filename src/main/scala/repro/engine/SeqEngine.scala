@@ -31,22 +31,6 @@ object RunResult {
   */
 object SeqEngine {
 
-  /** Symmetrize if the program requires it (CC). */
-  def prepare(g: DiGraph, prog: VertexProgram): DiGraph =
-    if (prog.needsSymmetric) symmetrize(g) else g
-
-  /** Graph with each edge mirrored (weights preserved). */
-  def symmetrize(g: DiGraph): DiGraph = {
-    val m   = 2 * g.numEdges
-    val src = new Array[Int](m); val dst = new Array[Int](m); val wgt = new Array[Double](m)
-    var e   = 0
-    g.walkEdges { (u, v, w) =>
-      src(e) = u; dst(e) = v; src(e + 1) = v; dst(e + 1) = u; wgt(e) = w; wgt(e + 1) = w
-      e += 2
-    }
-    DiGraph.fromArrays(g.numVertices, src, dst, wgt)
-  }
-
   /** A sourced program needs a source among the graph's `n` vertices. */
   private[engine] def checkSource(prog: VertexProgram, source: Int, n: Int): Unit =
     require(!prog.sourced || (0 <= source && source < n),
@@ -61,22 +45,22 @@ object SeqEngine {
   }
 
   /** Synchronous iteration (Eq. 1): every vertex reads previous-round states. */
-  def sync(g0: DiGraph, prog: VertexProgram, source: Int = -1, maxRounds: Int = 100000): RunResult = {
-    val g      = prepare(g0, prog)
+  def sync(g: DiGraph, prog: VertexProgram, source: Int = -1, maxRounds: Int = 100000): RunResult = {
     val n      = g.numVertices
     checkSource(prog, source, n)
     val blk    = Block.of(g, Array.range(0, n))
     val outDeg = g.outDegrees
-    var x      = initialStates(prog, n, source)
-    var xNew   = new Array[Double](n)
+    val fold   = prog.fold
+    var r      = fold.lane(initialStates(prog, n, source), outDeg, track = true)
+    var w      = fold.blank(n)
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {
-      converged = Sweep(blk, prog, outDeg, x, xNew, source).maxDelta <= prog.tol
-      val t = x; x = xNew; xNew = t
+      converged = fold.sweep(blk, r, w, outDeg, g, source).maxDelta <= prog.tol
+      val t = r; r = w; w = t
       rounds += 1
     }
-    RunResult(x, rounds, converged)
+    RunResult(r.x, rounds, converged)
   }
 
   /** Asynchronous iteration (Eq. 2): vertices processed in `order`; each
@@ -87,24 +71,24 @@ object SeqEngine {
     * runs with round counted from 1 and the live state array, which the next
     * round overwrites (copy it to keep it).
     */
-  def async(g0: DiGraph, prog: VertexProgram, order: VertexOrder,
+  def async(g: DiGraph, prog: VertexProgram, order: VertexOrder,
             source: Int = -1, maxRounds: Int = 100000,
             onRound: (Int, Double, Int, Array[Double]) => Unit = (_, _, _, _) => ()): RunResult = {
-    val g = prepare(g0, prog)
     val n = g.numVertices
     require(order.n == n, s"order size ${order.n} != |V|=$n")
     checkSource(prog, source, n)
     val blk    = Block.of(g, order.order)
     val outDeg = g.outDegrees
-    val x      = initialStates(prog, n, source)
+    val fold   = prog.fold
+    val lane   = fold.lane(initialStates(prog, n, source), outDeg, track = true)
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {
-      val s = Sweep(blk, prog, outDeg, x, x, source)
+      val s = fold.sweep(blk, lane, lane, outDeg, g, source)
       converged = s.maxDelta <= prog.tol
       rounds += 1
-      onRound(rounds, s.maxDelta, s.changed, x)
+      onRound(rounds, s.maxDelta, s.changed, lane.x)
     }
-    RunResult(x, rounds, converged)
+    RunResult(lane.x, rounds, converged)
   }
 }

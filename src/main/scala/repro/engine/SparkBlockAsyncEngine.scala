@@ -27,7 +27,7 @@ object SparkBlockAsyncEngine {
   /** Derived once, not per block build: derivation reflects over `Block`. */
   private lazy val blockEncoder: Encoder[Block] = Encoders.product[Block]
 
-  /** Cut `order` into `numBlocks` contiguous ranges of `g`'s (prepared) vertices. */
+  /** Cut `order` into `numBlocks` contiguous ranges of `g`'s vertices. */
   private def cut(g: DiGraph, order: VertexOrder, numBlocks: Int): Array[Block] = {
     val n = g.numVertices
     require(order.n == n, s"order size ${order.n} != |V|=$n")
@@ -40,20 +40,17 @@ object SparkBlockAsyncEngine {
   }
 
   /** Build the cached block dataset for (graph, order, numBlocks), blocks
-    * in ordinal order.
+    * in ordinal order, with the graph `g` itself: every program runs on the
+    * same blocks, so `prog` is unused.
     */
-  def blocks(spark: SparkSession, g0: DiGraph, prog: VertexProgram,
-             order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) = {
-    val g = SeqEngine.prepare(g0, prog)
+  def blocks(spark: SparkSession, g: DiGraph, prog: VertexProgram,
+             order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) =
     (spark.createDataset(cut(g, order, numBlocks).toSeq)(blockEncoder).cache(), g)
-  }
 
   /** Run to convergence; states returned indexed by vertex id. */
-  def run(spark: SparkSession, g0: DiGraph, prog: VertexProgram, order: VertexOrder,
-          source: Int = -1, numBlocks: Int = 16, maxRounds: Int = 100000): RunResult = {
-    val g = SeqEngine.prepare(g0, prog)
+  def run(spark: SparkSession, g: DiGraph, prog: VertexProgram, order: VertexOrder,
+          source: Int = -1, numBlocks: Int = 16, maxRounds: Int = 100000): RunResult =
     supersteps(spark, cut(g, order, numBlocks), g, prog, source, maxRounds)
-  }
 
   /** Runs supersteps over a block dataset built by [[blocks]] until
     * convergence or `maxRounds`. `ds` is collected once and stays cached for
@@ -71,9 +68,10 @@ object SparkBlockAsyncEngine {
     * once, so tasks carry neither a query plan nor block data (the local
     * checkpoint is not replicated: a lost executor fails the run). Each
     * superstep is one job of one task per block: the task sweeps its block
-    * against a private copy of the broadcast states and returns the block's
-    * new states in block order with its max |Δx|; the driver writes them into
-    * the next states through the block's `vids`. The RDD and the broadcasts
+    * against a private lane built from the broadcast states (every vertex is
+    * folded: a task has no out-edges to carry dirty flags) and returns the
+    * block's new states in block order with its max |Δx|; the driver writes
+    * them into the next states through the block's `vids`. The RDD and the broadcasts
     * are released on return or failure.
     */
   private def supersteps(spark: SparkSession, bs: Array[Block], g: DiGraph, prog: VertexProgram,
@@ -83,6 +81,7 @@ object SparkBlockAsyncEngine {
     val sc    = spark.sparkContext
     val rdd   = sc.parallelize(bs.toSeq, bs.length).persist(StorageLevel.MEMORY_ONLY)
     val bcDeg = sc.broadcast(g.outDegrees)
+    val fold  = prog.fold
     var x     = SeqEngine.initialStates(prog, n, source)
     var rounds = 0
     var converged = false
@@ -93,11 +92,14 @@ object SparkBlockAsyncEngine {
         val next = x.clone()
         var maxDelta = 0.0
         try sc.runJob(rdd, (_: TaskContext, it: Iterator[Block]) => {
-            val blk   = it.next()
-            // private copy: in-block vertices read the states updated before them
-            val local = bcX.value.clone()
-            val d     = Sweep(blk, prog, bcDeg.value, local, local, source).maxDelta
-            (blk.vids.map(v => local(v)), d)
+            val blk  = it.next()
+            // private lane: in-block vertices read the states updated before them
+            val lane = fold.lane(bcX.value, bcDeg.value, track = false)
+            val d    = fold.sweep(blk, lane, lane, bcDeg.value, null, source).maxDelta
+            val vids = blk.vids; val out = new Array[Double](vids.length)
+            var i    = 0
+            while (i < vids.length) { out(i) = lane.x(vids(i)); i += 1 }
+            (out, d)
           }, bs.indices, (b: Int, r: (Array[Double], Double)) => {
             val vids = bs(b).vids; val vals = r._1
             var i = 0

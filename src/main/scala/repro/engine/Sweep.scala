@@ -32,36 +32,140 @@ object Block {
   */
 final case class Swept(maxDelta: Double, changed: Int)
 
-/** The one vertex-update sweep every engine runs (paper Eq. 1 and Eq. 2).
+/** The per-vertex arrays a sweep reads or writes, indexed by vertex id:
+  *   - `x`, the states;
+  *   - `y`, a Σ fold's emitted x/|OUT| (null for a min-plus fold), written
+  *     each time `x` is;
+  *   - `dirty`, a min-plus fold's flags (null for a Σ fold and in block
+  *     tasks): set when an in-neighbour of the vertex changed since the
+  *     vertex was last folded.
   *
-  * Each vertex of `blk`, in order, folds its in-neighbours' states from `read`
-  * and stores its new state into `write`. Passing two arrays gives Eq. 1
-  * (every vertex sees previous-round states); passing the same array gives
-  * Eq. 2 (vertices see the states already updated earlier in the sweep).
-  * The program's [[Fold]] runs each vertex's in-edge loop, so no call is made
-  * per edge.
+  * Passing two lanes to [[Fold.sweep]] gives Eq. 1 (every vertex sees
+  * previous-round states); passing the same lane twice gives Eq. 2 (vertices
+  * see the states already updated earlier in the sweep).
   */
-private[engine] object Sweep {
+private[engine] final class Lane(val x: Array[Double], val y: Array[Double], val dirty: Array[Boolean])
 
-  /** Runs one sweep over `blk`. */
-  def apply(blk: Block, prog: VertexProgram, outDeg: Array[Int],
-            read: Array[Double], write: Array[Double], source: Int): Swept = {
-    val vids = blk.vids; val off = blk.off
-    val fold = prog.fold
-    var maxDelta = 0.0
-    var changed  = 0
-    var i = 0
-    while (i < vids.length) {
-      val v   = vids(i)
-      val acc = fold(blk, off(i), off(i + 1), read, outDeg)
-      val old = read(v)
-      val nx  = prog.apply(v, old, acc, source)
-      val d   = math.abs(nx - old)
-      if (d > maxDelta) maxDelta = d // ∞ − ∞ is NaN, never greater: unchanged
-      if (nx != old) changed += 1
-      write(v) = nx
-      i += 1
+/** A program's whole vertex update (paper Eq. 1 and Eq. 2), one case per
+  * program family (GraphBLAS's semirings, Kepner et al. 2016). Each case owns
+  * one tight loop over a block's vertices and their in-edges, with the update
+  * written inside it, so a sweep makes no call per vertex or per edge; the
+  * program's constants are its case's fields. Every engine runs these loops:
+  * [[SeqEngine.sync]], [[SeqEngine.async]] and the block engine's tasks.
+  */
+sealed abstract class Fold extends Serializable {
+
+  /** The lane of a run that starts from (a copy of) `x0`: its emitted array
+    * filled from the copy, and with `track` every dirty flag set. A block
+    * task builds its private lane this way from the broadcast states.
+    */
+  private[engine] def lane(x0: Array[Double], outDeg: Array[Int], track: Boolean): Lane
+
+  /** An unwritten lane of `n` vertices with every dirty flag clear: the
+    * first write lane of a synchronous run.
+    */
+  private[engine] def blank(n: Int): Lane
+
+  /** One sweep over `blk` in order: each vertex folds its in-edges from `r`
+    * and writes its new state (and what goes with it) into `w`. `outDeg` is
+    * every vertex's out-degree; `g`'s out-edges carry the dirty flags (null
+    * when the lanes have none).
+    */
+  private[engine] def sweep(blk: Block, r: Lane, w: Lane, outDeg: Array[Int], g: DiGraph, source: Int): Swept
+}
+
+object Fold {
+
+  /** x_v = base + scale · Σ_{u∈IN(v)} y_u with y_u = x_u/|OUT(u)| (PageRank,
+    * PHP); with `pinSource` the source stays at 1. y is emitted by the writer
+    * of x, the same division on the same operands as one per edge, so the
+    * bits are those of Σ x_u/|OUT(u)|. y of a vertex without out-edges is
+    * never read.
+    */
+  final case class Sum(base: Double, scale: Double, pinSource: Boolean) extends Fold {
+
+    private[engine] def lane(x0: Array[Double], outDeg: Array[Int], track: Boolean): Lane = {
+      val x = new Array[Double](x0.length); val y = new Array[Double](x0.length)
+      var v = 0
+      while (v < x.length) { val s = x0(v); x(v) = s; y(v) = s / outDeg(v); v += 1 }
+      new Lane(x, y, null)
     }
-    Swept(maxDelta, changed)
+
+    private[engine] def blank(n: Int): Lane = new Lane(new Array[Double](n), new Array[Double](n), null)
+
+    private[engine] def sweep(blk: Block, r: Lane, w: Lane, outDeg: Array[Int], g: DiGraph, source: Int): Swept = {
+      val vids = blk.vids; val off = blk.off; val adj = blk.adj
+      val x    = r.x; val y = r.y; val xw = w.x; val yw = w.y
+      val pin  = if (pinSource) source else -1
+      val b    = base; val c = scale
+      var maxDelta = 0.0
+      var changed  = 0
+      var i = 0
+      while (i < vids.length) {
+        val v   = vids(i)
+        val end = off(i + 1)
+        var acc = 0.0
+        var j   = off(i)
+        while (j < end) { acc = acc + y(adj(j)); j += 1 }
+        val old = x(v)
+        val nx  = if (v == pin) 1.0 else b + c * acc
+        val d   = math.abs(nx - old)
+        if (d > maxDelta) maxDelta = d
+        if (nx != old) changed += 1
+        xw(v) = nx
+        yw(v) = nx / outDeg(v)
+        i += 1
+      }
+      Swept(maxDelta, changed)
+    }
+  }
+
+  /** x_v = min(x_v, min_{u∈IN(v)} x_u + w_uv), with the edge weights when
+    * `weighted` (SSSP) and 1 per edge otherwise (BFS).
+    *
+    * With dirty flags (SeqEngine) a vertex is folded only if an in-neighbour
+    * changed since it was last folded, and a change sets its out-neighbours'
+    * flags. This is exact: with no in-neighbour changed the fold is the one
+    * last taken, and the state is already at most that. A skipped vertex
+    * keeps its state, copied into `w`.
+    */
+  final case class MinPlus(weighted: Boolean) extends Fold {
+
+    private[engine] def lane(x0: Array[Double], outDeg: Array[Int], track: Boolean): Lane =
+      new Lane(x0.clone(), null, if (track) Array.fill(x0.length)(true) else null)
+
+    private[engine] def blank(n: Int): Lane = new Lane(new Array[Double](n), null, new Array[Boolean](n))
+
+    private[engine] def sweep(blk: Block, r: Lane, w: Lane, outDeg: Array[Int], g: DiGraph, source: Int): Swept = {
+      val vids  = blk.vids; val off = blk.off; val adj = blk.adj; val wgt = blk.wgt
+      val x     = r.x; val xw = w.x
+      val dirty = r.dirty; val mark = w.dirty
+      val byWgt = weighted
+      val set: Int => Unit = u => mark(u) = true
+      var maxDelta = 0.0
+      var changed  = 0
+      var i = 0
+      while (i < vids.length) {
+        val v   = vids(i)
+        val old = x(v)
+        if (dirty == null || dirty(v)) {
+          if (dirty != null) dirty(v) = false
+          val end = off(i + 1)
+          var acc = Double.PositiveInfinity
+          var j   = off(i)
+          while (j < end) { acc = math.min(acc, x(adj(j)) + (if (byWgt) wgt(j) else 1.0)); j += 1 }
+          val nx = math.min(old, acc)
+          val d  = math.abs(nx - old)
+          if (d > maxDelta) maxDelta = d // ∞ − ∞ is NaN, never greater: unchanged
+          if (nx != old) {
+            changed += 1
+            if (mark != null) g.foreachOut(v)(set)
+          }
+          xw(v) = nx
+        } else xw(v) = old
+        i += 1
+      }
+      Swept(maxDelta, changed)
+    }
   }
 }

@@ -116,15 +116,27 @@ object Eval {
   private def relabeled(g: DiGraph, o: repro.order.VertexOrder, source: Int): (DiGraph, Int) =
     (g.relabel(o.pos), if (source >= 0) o.pos(source) else -1)
 
-  /** Time one async run on the relabeled graph (identity processing order);
-    * one untimed warmup run absorbs JIT and cold-cache noise.
+  /** Runs per timed cell, after one untimed warm-up run. */
+  val timedRuns = 5
+
+  /** One table cell: `run` once untimed (JIT and cold caches), then
+    * [[timedRuns]] times; the median wall time and the rounds of a converged
+    * run.
     */
+  private def timed(what: => String)(run: => RunResult): PerfCell = {
+    run
+    val cells = Seq.fill(timedRuns) {
+      val t0  = System.nanoTime()
+      val res = converged(run, what)
+      PerfCell((System.nanoTime() - t0) / 1e6, res.rounds)
+    }
+    cells.sortBy(_.runtimeMs).apply(timedRuns / 2)
+  }
+
+  /** Time async runs on the relabeled graph (identity processing order). */
   private def timedAsync(g: DiGraph, prog: VertexProgram, src: Int): PerfCell = {
     val idOrder = repro.order.VertexOrder.identity(g.numVertices)
-    SeqEngine.async(g, prog, idOrder, src) // warmup
-    val t0  = System.nanoTime()
-    val res = converged(SeqEngine.async(g, prog, idOrder, src), s"async ${prog.name}")
-    PerfCell((System.nanoTime() - t0) / 1e6, res.rounds)
+    timed(s"async ${prog.name}")(SeqEngine.async(g, prog, idOrder, src))
   }
 
   def overallPerf(datasets: Seq[String], load: String => DiGraph,
@@ -175,12 +187,8 @@ object Eval {
       val (gGo, srcGo) = relabeled(g, GoGraph.order(g), source)
       algos.map { prog =>
         val src = if (prog.sourced) source else -1
-        SeqEngine.sync(g, prog, src) // warmup
-        val t0   = System.nanoTime()
-        val sRes = converged(SeqEngine.sync(g, prog, src), s"$name sync ${prog.name}")
-        val sCell = PerfCell((System.nanoTime() - t0) / 1e6, sRes.rounds)
         AsyncImpactRow(name, prog.name,
-          sCell,
+          timed(s"$name sync ${prog.name}")(SeqEngine.sync(g, prog, src)),
           timedAsync(g, prog, src), // default order = identity layout
           timedAsync(gGo, prog, if (prog.sourced) srcGo else -1))
       }

@@ -71,12 +71,6 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     assert(goR <= defR, s"GoGraph $goR supersteps vs Default $defR")
   }
 
-  test("CC over blocks matches union-find components") {
-    val g = DiGraph.unweighted(12, Seq((0, 1), (1, 2), (3, 4), (6, 7), (7, 8), (10, 11)))
-    val res = SparkBlockAsyncEngine.run(spark, g, CC, DefaultOrder.order(g), numBlocks = 3)
-    assert(res.states.toSeq == References.components(g).toSeq)
-  }
-
   test("block construction covers every vertex exactly once") {
     val g = GraphGen.rmat(50, 300, seed = 102)
     val o = VertexOrder.fromOrder(GraphGen.randomPermutation(50, seed = 103))
@@ -116,8 +110,6 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     ("PageRank", PageRank, GraphGen.rmat(80, 500, seed = 90), _ => -1),
     ("PHP", PHP, GraphGen.rmat(60, 360, seed = 92), hub),
     ("BFS", BFS, GraphGen.rmat(100, 600, seed = 91), hub),
-    ("CC", CC, DiGraph.unweighted(10, Seq((0, 1), (1, 2), (4, 5), (7, 8), (8, 9))), _ => -1),
-    ("SSWP", SSWP, GraphGen.erdosRenyi(50, 300, seed = 93), _ => 0),
   ).foreach { case (label, prog, g, pick) =>
     test(s"$label: |V| blocks = sync, 1 block = async, bit for bit") {
       val src = pick(g)
@@ -172,12 +164,12 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     test(s"$label: sync, async and 1, |V| and |V|+3 blocks agree with the references") {
       val n = g.numVertices
       val o = DefaultOrder.order(g)
-      val unsourced = Seq[(VertexProgram, Int, Array[Double])](
-        (PageRank, -1, References.pagerank(g)), (CC, -1, References.components(g)))
+      val unsourced = Seq[(VertexProgram, Int, Array[Double])]((PageRank, -1, References.pagerank(g)))
       val sourced =
         if (n == 0) Nil
         else Seq[(VertexProgram, Int, Array[Double])](
-          (SSSP, src, References.dijkstra(g, src)), (BFS, src, References.bfsLevels(g, src)))
+          (SSSP, src, References.dijkstra(g, src)), (BFS, src, References.bfsLevels(g, src)),
+          (PHP, src, References.php(g, src)))
       (unsourced ++ sourced).foreach { case (prog, s, ref) =>
         val sync  = SeqEngine.sync(g, prog, s)
         val async = SeqEngine.async(g, prog, o, s)
@@ -219,11 +211,18 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     assert(persisted == before, "after a converged run")
     assert(!SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = 4, maxRounds = 2).converged)
     assert(persisted == before, "after a run capped by maxRounds")
-    val e = intercept[org.apache.spark.SparkException] {
-      SparkBlockAsyncEngine.run(spark, g, FailingProgram, o, numBlocks = 4)
-    }
-    assert(e.getMessage.contains(FailingProgram.message))
-    assert(persisted == before, "after a failing run")
+    // a block whose in-edge names a vertex past |V|: its task throws in every superstep
+    val broken = spark.createDataset(Seq(Block(Array(0), Array(0, 1), Array(g.numVertices), Array(1.0))))(
+      org.apache.spark.sql.Encoders.product[Block]).cache()
+    try {
+      broken.collect()
+      val withBroken = persisted
+      val e = intercept[org.apache.spark.SparkException] {
+        SparkBlockAsyncEngine.runOnBlocks(spark, broken, g, PageRank, o, -1, 100000)
+      }
+      assert(e.getMessage.contains("ArrayIndexOutOfBoundsException"))
+      assert(persisted == withBroken, "after a failing run")
+    } finally broken.unpersist()
   }
 
   test("runOnBlocks twice on one block dataset gives identical bits and keeps it cached") {
@@ -278,11 +277,4 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
       assert(persisted == before)
     } finally sc.removeSparkListener(listener)
   }
-}
-
-/** PageRank whose update throws inside the block tasks. */
-private object FailingProgram extends PageRank(0.85, 1e-6) {
-  val message = "vertex update failed on purpose"
-  override def apply(v: Int, old: Double, acc: Double, source: Int): Double =
-    throw new IllegalStateException(message)
 }

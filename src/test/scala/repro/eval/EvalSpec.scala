@@ -128,13 +128,13 @@ class EvalSpec extends AnyFunSuite {
   test("tableII rejects a run that does not converge") {
     val g = repro.graph.DiGraph.unweighted(3, Seq((0, 1), (1, 2)))
     val e = intercept[IllegalArgumentException] {
-      Eval.tableII(g, methods = Seq(repro.order.DefaultOrder), algos = Seq(Diverging))
+      Eval.tableII(g, methods = Seq(repro.order.DefaultOrder), algos = Seq(NeverConverging))
     }
     assert(e.getMessage.contains("did not converge"))
   }
 }
 
-/** PageRank variant whose states grow without bound, so it never converges. */
-private object Diverging extends PageRank(0.85, 1e-6) {
-  override def apply(v: Int, old: Double, acc: Double, source: Int): Double = old + 1.0
-}
+/** PageRank whose tolerance no max |Δ| can meet, so it never converges: it
+  * runs until the engine's round cap.
+  */
+private object NeverConverging extends PageRank(0.85, tol = -1.0)
