@@ -51,8 +51,8 @@ object SeqEngine {
     val blk    = Block.of(g, Array.range(0, n))
     val outDeg = g.outDegrees
     val fold   = prog.fold
-    var r      = fold.lane(initialStates(prog, n, source), outDeg, track = true)
-    var w      = fold.blank(n)
+    var r      = fold.load(initialStates(prog, n, source), outDeg, fold.lane(n, track = true))
+    var w      = fold.lane(n, track = true)
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {
@@ -80,7 +80,7 @@ object SeqEngine {
     val blk    = Block.of(g, order.order)
     val outDeg = g.outDegrees
     val fold   = prog.fold
-    val lane   = fold.lane(initialStates(prog, n, source), outDeg, track = true)
+    val lane   = fold.load(initialStates(prog, n, source), outDeg, fold.lane(n, track = true))
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {

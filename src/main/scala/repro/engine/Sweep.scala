@@ -55,16 +55,14 @@ private[engine] final class Lane(val x: Array[Double], val y: Array[Double], val
   */
 sealed abstract class Fold extends Serializable {
 
-  /** The lane of a run that starts from (a copy of) `x0`: its emitted array
-    * filled from the copy, and with `track` every dirty flag set. A block
-    * task builds its private lane this way from the broadcast states.
-    */
-  private[engine] def lane(x0: Array[Double], outDeg: Array[Int], track: Boolean): Lane
+  /** A lane of `n` vertices, with dirty flags (all clear) if `track`. */
+  private[engine] def lane(n: Int, track: Boolean): Lane
 
-  /** An unwritten lane of `n` vertices with every dirty flag clear: the
-    * first write lane of a synchronous run.
+  /** Loads the states `x0` into `l` (a lane of as many vertices) so that
+    * the next sweep starts from them: copies them, fills the emitted array
+    * from the copy and sets every dirty flag. Returns `l`.
     */
-  private[engine] def blank(n: Int): Lane
+  private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane): Lane
 
   /** One sweep over `blk` in order: each vertex folds its in-edges from `r`
     * and writes its new state (and what goes with it) into `w`. `outDeg` is
@@ -84,14 +82,14 @@ object Fold {
     */
   final case class Sum(base: Double, scale: Double, pinSource: Boolean) extends Fold {
 
-    private[engine] def lane(x0: Array[Double], outDeg: Array[Int], track: Boolean): Lane = {
-      val x = new Array[Double](x0.length); val y = new Array[Double](x0.length)
+    private[engine] def lane(n: Int, track: Boolean): Lane = new Lane(new Array[Double](n), new Array[Double](n), null)
+
+    private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane): Lane = {
+      val x = l.x; val y = l.y
       var v = 0
       while (v < x.length) { val s = x0(v); x(v) = s; y(v) = s / outDeg(v); v += 1 }
-      new Lane(x, y, null)
+      l
     }
-
-    private[engine] def blank(n: Int): Lane = new Lane(new Array[Double](n), new Array[Double](n), null)
 
     private[engine] def sweep(blk: Block, r: Lane, w: Lane, outDeg: Array[Int], g: DiGraph, source: Int): Swept = {
       val vids = blk.vids; val off = blk.off; val adj = blk.adj
@@ -131,10 +129,14 @@ object Fold {
     */
   final case class MinPlus(weighted: Boolean) extends Fold {
 
-    private[engine] def lane(x0: Array[Double], outDeg: Array[Int], track: Boolean): Lane =
-      new Lane(x0.clone(), null, if (track) Array.fill(x0.length)(true) else null)
+    private[engine] def lane(n: Int, track: Boolean): Lane =
+      new Lane(new Array[Double](n), null, if (track) new Array[Boolean](n) else null)
 
-    private[engine] def blank(n: Int): Lane = new Lane(new Array[Double](n), null, new Array[Boolean](n))
+    private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane): Lane = {
+      System.arraycopy(x0, 0, l.x, 0, x0.length)
+      if (l.dirty != null) java.util.Arrays.fill(l.dirty, true)
+      l
+    }
 
     private[engine] def sweep(blk: Block, r: Lane, w: Lane, outDeg: Array[Int], g: DiGraph, source: Int): Swept = {
       val vids  = blk.vids; val off = blk.off; val adj = blk.adj; val wgt = blk.wgt

@@ -12,7 +12,7 @@ class ProgramsSpec extends AnyFunSuite {
     val k      = edges.length
     val blk    = Block(Array(k), Array(0, k), Array.range(0, k), edges.map(_._2).toArray)
     val outDeg = edges.map(_._3).toArray :+ 1
-    val lane   = prog.fold.lane(edges.map(_._1).toArray :+ old, outDeg, track = false)
+    val lane   = prog.fold.load(edges.map(_._1).toArray :+ old, outDeg, prog.fold.lane(k + 1, track = false))
     prog.fold.sweep(blk, lane, lane, outDeg, null, source)
     lane.x(k)
   }

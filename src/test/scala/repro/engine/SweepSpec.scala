@@ -59,8 +59,8 @@ class SweepSpec extends SparkSpec {
       val s      = if (p.sourced) 0 else -1
       val blk    = Block.of(g, Array.range(0, 4))
       val outDeg = g.outDegrees
-      val r      = p.fold.lane(SeqEngine.initialStates(p, 4, s), outDeg, track = true)
-      val w      = p.fold.blank(4)
+      val r      = p.fold.load(SeqEngine.initialStates(p, 4, s), outDeg, p.fold.lane(4, track = true))
+      val w      = p.fold.lane(4, track = true)
       assert(!p.fold.sweep(blk, r, w, outDeg, g, s).maxDelta.isNaN, s"sync ${p.name}")
       SeqEngine.async(g, p, DefaultOrder.order(g), s,
         onRound = (k, d, _, _) => assert(!d.isNaN, s"async ${p.name} round $k"))
