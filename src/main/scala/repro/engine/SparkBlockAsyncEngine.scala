@@ -30,7 +30,7 @@ object SparkBlockAsyncEngine {
   /** The lane each executor thread's tasks sweep, kept for its next task of
     * the same fold and size: a task's lane never leaves the task (it returns
     * a fresh array), and reusing it spares every task two |V|-sized
-    * allocations per superstep, whose garbage slowed whole block runs.
+    * allocations per superstep, which measurably slowed block runs.
     */
   private val taskLane = new ThreadLocal[(Fold, Lane)]
 
