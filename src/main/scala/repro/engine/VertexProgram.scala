@@ -21,6 +21,9 @@ trait VertexProgram extends Serializable {
   /** Convergence tolerance on the per-round max |Δx| (0 = exact). */
   def tol: Double
 
+  /** True if edges must be symmetrized before running (CC). */
+  def needsSymmetric: Boolean = false
+
   /** True if the algorithm needs a source vertex. */
   def sourced: Boolean
 }
@@ -55,6 +58,16 @@ object BFS extends VertexProgram {
   val tol                           = 0.0
   def init(v: Int, s: Int): Double  = if (v == s) 0.0 else Double.PositiveInfinity
   val fold: Fold                    = Fold.MinPlus(weighted = false)
+}
+
+/** Connected components: min-label propagation over the symmetrized graph. */
+object CC extends VertexProgram {
+  val name                          = "CC"
+  val sourced                       = false
+  val tol                           = 0.0
+  override val needsSymmetric       = true
+  def init(v: Int, s: Int): Double  = v.toDouble
+  val fold: Fold                    = Fold.MinPlus(weighted = false, c = 0.0)
 }
 
 /** Penalized hitting probability: source pinned at 1,

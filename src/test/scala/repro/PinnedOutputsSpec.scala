@@ -84,14 +84,17 @@ class PinnedOutputsSpec extends SparkSpec {
     ("sync", sync, PHP, (-5047402289769702389L, 55), (-8518265885966911217L, 36)),
     ("sync", sync, SSSP, (4561840133695990693L, 17), (-138160804116537499L, 9)),
     ("sync", sync, BFS, (-8485388711279826011L, 14), (-474675777291886747L, 7)),
+    ("sync", sync, CC, (-7715973862221386843L, 5), (7178451787856961381L, 7)),
     ("async Default", async(DefaultOrder), PageRank, (7017441848452077982L, 72), (-5939837688810004013L, 33)),
     ("async Default", async(DefaultOrder), PHP, (-216881952599612287L, 41), (-1728193984628400367L, 20)),
     ("async Default", async(DefaultOrder), SSSP, (4561840133695990693L, 11), (-138160804116537499L, 7)),
     ("async Default", async(DefaultOrder), BFS, (-8485388711279826011L, 10), (-474675777291886747L, 5)),
+    ("async Default", async(DefaultOrder), CC, (-7715973862221386843L, 3), (7178451787856961381L, 4)),
     ("async GoGraph", async(GoGraph), PageRank, (-2094994108627459110L, 39), (-406129793014663894L, 23)),
     ("async GoGraph", async(GoGraph), PHP, (-4053692876042012804L, 22), (6031844569940786192L, 15)),
     ("async GoGraph", async(GoGraph), SSSP, (4561840133695990693L, 9), (-138160804116537499L, 5)),
     ("async GoGraph", async(GoGraph), BFS, (-8485388711279826011L, 6), (-474675777291886747L, 4)),
+    ("async GoGraph", async(GoGraph), CC, (-7715973862221386843L, 4), (7178451787856961381L, 4)),
     ("4-block Default", block, PageRank, (-5983843668062149150L, 87), (-7058280330716884352L, 54)),
     ("4-block Default", block, SSSP, (4561840133695990693L, 15), (-138160804116537499L, 8)),
     ("4-block Default", block, PHP, (8799714154231859092L, 49), (1847799035128589217L, 32)),

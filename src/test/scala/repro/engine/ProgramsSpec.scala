@@ -58,6 +58,12 @@ class ProgramsSpec extends AnyFunSuite {
     assert(update(BFS, Double.PositiveInfinity, 0, (2.0, 100.0, 1)) == 3.0)
   }
 
+  test("CC init is the vertex id and gather takes min label") {
+    assert(CC.init(7, -1) == 7.0)
+    assert(update(CC, 7.0, -1, (5.0, 1.0, 1), (3.0, 1.0, 1)) == 3.0)
+    assert(CC.needsSymmetric)
+  }
+
   test("PHP pins the source at 1") {
     assert(PHP.init(2, 2) == 1.0)
     assert(update(PHP, 0.5, 1, (10.0, 1.0, 1)) == 1.0) // the updated vertex, 1, is the source
@@ -69,17 +75,17 @@ class ProgramsSpec extends AnyFunSuite {
   }
 
   test("exact programs use tol 0, approximate use 1e-6") {
-    assert(SSSP.tol == 0.0 && BFS.tol == 0.0)
+    assert(SSSP.tol == 0.0 && BFS.tol == 0.0 && CC.tol == 0.0)
     assert(PageRank.tol == 1e-6 && PHP.tol == 1e-6)
   }
 
   test("sourced flags match algorithm semantics") {
     assert(SSSP.sourced && BFS.sourced && PHP.sourced)
-    assert(!PageRank.sourced)
+    assert(!PageRank.sourced && !CC.sourced)
   }
 
   test("program names are unique") {
-    val names = Seq(PageRank, SSSP, BFS, PHP).map(_.name)
+    val names = Seq(PageRank, SSSP, BFS, CC, PHP).map(_.name)
     assert(names.distinct == names)
   }
 }

@@ -8,8 +8,9 @@ import repro.order.VertexOrder
   * over its in-edges, dividing x_u by |OUT(u)| per edge, and an `apply` called
   * per vertex; every vertex is folded every round. Sync, async and the block
   * engine's supersteps (run one block after another on the driver) follow the
-  * engines' round and convergence rules, so their states, rounds and per-round
-  * (max |Δ|, changed) must equal the engines' bit for bit.
+  * engines' round and convergence rules (on the symmetrized graph for CC),
+  * so their states, rounds and per-round (max |Δ|, changed) must equal the
+  * engines' bit for bit.
   */
 object ReferenceSweep {
 
@@ -35,7 +36,7 @@ object ReferenceSweep {
     acc
   }
 
-  /** The update of each of the four programs, written as before the inlining. */
+  /** The update of each of the five programs, written as before the inlining. */
   def update(prog: VertexProgram): Update = prog match {
     case p: PageRank => new Update {
       def fold(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
@@ -55,6 +56,11 @@ object ReferenceSweep {
     case BFS => new Update {
       def fold(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
         minPlus(blk, from, until, read, Some(1.0))
+      def apply(v: Int, old: Double, acc: Double, s: Int): Double = math.min(old, acc)
+    }
+    case CC => new Update {
+      def fold(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
+        minPlus(blk, from, until, read, Some(0.0))
       def apply(v: Int, old: Double, acc: Double, s: Int): Double = math.min(old, acc)
     }
   }
@@ -82,7 +88,8 @@ object ReferenceSweep {
   private def init(g: DiGraph, prog: VertexProgram, source: Int): Array[Double] =
     Array.tabulate(g.numVertices)(prog.init(_, source))
 
-  def sync(g: DiGraph, prog: VertexProgram, source: Int, maxRounds: Int = 100000): RunResult = {
+  def sync(g0: DiGraph, prog: VertexProgram, source: Int, maxRounds: Int = 100000): RunResult = {
+    val g   = SeqEngine.prepare(g0, prog)
     val n   = g.numVertices
     val blk = Block.of(g, Array.range(0, n))
     var x   = init(g, prog, source)
@@ -98,8 +105,9 @@ object ReferenceSweep {
   }
 
   /** Async, with each round's (max |Δ|, changed) appended to `trace`. */
-  def async(g: DiGraph, prog: VertexProgram, order: VertexOrder, source: Int,
+  def async(g0: DiGraph, prog: VertexProgram, order: VertexOrder, source: Int,
             trace: collection.mutable.Buffer[(Double, Int)], maxRounds: Int = 100000): RunResult = {
+    val g   = SeqEngine.prepare(g0, prog)
     val blk = Block.of(g, order.order)
     val x   = init(g, prog, source)
     var rounds = 0
@@ -116,8 +124,9 @@ object ReferenceSweep {
   /** The block engine's supersteps over `order` cut into `numBlocks` ranges:
     * each block sweeps a private copy of the previous superstep's states.
     */
-  def blocks(g: DiGraph, prog: VertexProgram, order: VertexOrder, source: Int, numBlocks: Int,
+  def blocks(g0: DiGraph, prog: VertexProgram, order: VertexOrder, source: Int, numBlocks: Int,
              maxRounds: Int = 100000): RunResult = {
+    val g  = SeqEngine.prepare(g0, prog)
     val n  = g.numVertices
     val nb = math.max(1, math.min(numBlocks, n))
     val bs = (0 until nb).map { b =>

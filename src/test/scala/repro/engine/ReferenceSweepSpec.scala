@@ -16,7 +16,7 @@ class ReferenceSweepSpec extends SparkSpec {
     assert(res.passed, res.status.toString)
   }
 
-  private val programs = Seq(PageRank, PHP, SSSP, BFS)
+  private val programs = Seq(PageRank, PHP, SSSP, BFS, CC)
 
   /** A random graph with parallel edges, isolated vertices and vertices
     * without out-edges, a random order, and a source that sometimes has no

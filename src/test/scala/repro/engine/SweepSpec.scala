@@ -4,12 +4,12 @@ import repro.SparkSpec
 import repro.graph.DiGraph
 import repro.order.DefaultOrder
 
-/** Edge cases of the sweep loops, for the four programs in every mode: sync,
+/** Edge cases of the sweep loops, for the five programs in every mode: sync,
   * async, and blocks at 1, 3 and |V|.
   */
 class SweepSpec extends SparkSpec {
 
-  private val programs = Seq(PageRank, PHP, SSSP, BFS)
+  private val programs = Seq(PageRank, PHP, SSSP, BFS, CC)
 
   private def runs(g: DiGraph, prog: VertexProgram, source: Int): Seq[(String, RunResult)] = {
     val s = if (prog.sourced) source else -1
@@ -21,9 +21,10 @@ class SweepSpec extends SparkSpec {
   private val pr = 1.0 - PageRank.damping // the PageRank of a vertex without in-edges
 
   test("a vertex with no in-edges gets its fold's identity, in every program and mode") {
+    // vertex 3 is isolated, so it has no in-edges in the symmetrized graph (CC) either
     val g = DiGraph.unweighted(4, Seq((0, 1), (1, 2)))
     val expected = Map[VertexProgram, Double](
-      PageRank -> pr, PHP -> 0.0, SSSP -> Double.PositiveInfinity, BFS -> Double.PositiveInfinity)
+      PageRank -> pr, PHP -> 0.0, SSSP -> Double.PositiveInfinity, BFS -> Double.PositiveInfinity, CC -> 3.0)
     programs.foreach { p =>
       runs(g, p, source = 0).foreach { case (mode, r) =>
         assert(r.converged, s"$mode ${p.name}")
@@ -39,6 +40,7 @@ class SweepSpec extends SparkSpec {
       PHP      -> PHP.penalty * (1.0 / 2 + 1.0 / 2),
       SSSP     -> 2.0, // the second edge
       BFS      -> 1.0,
+      CC       -> 0.0,
     )
     programs.foreach { p =>
       runs(g, p, source = 0).foreach { case (mode, r) =>
@@ -57,11 +59,12 @@ class SweepSpec extends SparkSpec {
         if (p == SSSP || p == BFS) assert(r.states(2).isPosInfinity && r.states(3).isPosInfinity)
       }
       val s      = if (p.sourced) 0 else -1
-      val blk    = Block.of(g, Array.range(0, 4))
-      val outDeg = g.outDegrees
+      val gp     = SeqEngine.prepare(g, p)
+      val blk    = Block.of(gp, Array.range(0, 4))
+      val outDeg = gp.outDegrees
       val r      = p.fold.load(SeqEngine.initialStates(p, 4, s), outDeg, p.fold.lane(4, track = true))
       val w      = p.fold.lane(4, track = true)
-      assert(!p.fold.sweep(blk, r, w, outDeg, g, s).maxDelta.isNaN, s"sync ${p.name}")
+      assert(!p.fold.sweep(blk, r, w, outDeg, gp, s).maxDelta.isNaN, s"sync ${p.name}")
       SeqEngine.async(g, p, DefaultOrder.order(g), s,
         onRound = (k, d, _, _) => assert(!d.isNaN, s"async ${p.name} round $k"))
     }
@@ -72,16 +75,16 @@ class SweepSpec extends SparkSpec {
   private val c   = PHP.penalty
   private val d   = PageRank.damping
   Seq[(String, DiGraph, Int, Map[VertexProgram, Seq[Double]])](
-    ("the empty graph", DiGraph.unweighted(0, Seq.empty), 0, Map(PageRank -> Nil)),
+    ("the empty graph", DiGraph.unweighted(0, Seq.empty), 0, Map(PageRank -> Nil, CC -> Nil)),
     ("an all-isolated graph", DiGraph.unweighted(4, Seq.empty), 0, Map(
       PageRank -> Seq(pr, pr, pr, pr), PHP -> Seq(1.0, 0.0, 0.0, 0.0),
-      SSSP -> Seq(0.0, inf, inf, inf), BFS -> Seq(0.0, inf, inf, inf))),
+      SSSP -> Seq(0.0, inf, inf, inf), BFS -> Seq(0.0, inf, inf, inf), CC -> Seq(0.0, 1.0, 2.0, 3.0))),
     ("an in-star", DiGraph.fromEdges(4, (1 to 3).map(i => (i, 0, 2.0))), 1, Map(
       PageRank -> Seq(pr + d * (3 * pr), pr, pr, pr), PHP -> Seq(c * 1.0, 1.0, 0.0, 0.0),
-      SSSP -> Seq(2.0, 0.0, inf, inf), BFS -> Seq(1.0, 0.0, inf, inf))),
+      SSSP -> Seq(2.0, 0.0, inf, inf), BFS -> Seq(1.0, 0.0, inf, inf), CC -> Seq(0.0, 0.0, 0.0, 0.0))),
     ("an out-star", DiGraph.fromEdges(4, (1 to 3).map(i => (0, i, 2.0))), 0, Map(
       PageRank -> (pr +: Seq.fill(3)(pr + d * (pr / 3))), PHP -> (1.0 +: Seq.fill(3)(c * (1.0 / 3))),
-      SSSP -> Seq(0.0, 2.0, 2.0, 2.0), BFS -> Seq(0.0, 1.0, 1.0, 1.0))),
+      SSSP -> Seq(0.0, 2.0, 2.0, 2.0), BFS -> Seq(0.0, 1.0, 1.0, 1.0), CC -> Seq(0.0, 0.0, 0.0, 0.0))),
   ).foreach { case (label, g, src, expected) =>
     test(s"$label: every program converges in every mode, without NaN, to the expected states") {
       programs.foreach { p =>
