@@ -31,22 +31,6 @@ object RunResult {
   */
 object SeqEngine {
 
-  /** Symmetrize if the program requires it (CC). */
-  def prepare(g: DiGraph, prog: VertexProgram): DiGraph =
-    if (prog.needsSymmetric) symmetrize(g) else g
-
-  /** Graph with each edge mirrored (weights preserved). */
-  def symmetrize(g: DiGraph): DiGraph = {
-    val m   = 2 * g.numEdges
-    val src = new Array[Int](m); val dst = new Array[Int](m); val wgt = new Array[Double](m)
-    var e   = 0
-    g.walkEdges { (u, v, w) =>
-      src(e) = u; dst(e) = v; src(e + 1) = v; dst(e + 1) = u; wgt(e) = w; wgt(e + 1) = w
-      e += 2
-    }
-    DiGraph.fromArrays(g.numVertices, src, dst, wgt)
-  }
-
   /** A sourced program needs a source among the graph's `n` vertices. */
   private[engine] def checkSource(prog: VertexProgram, source: Int, n: Int): Unit =
     require(!prog.sourced || (0 <= source && source < n),
@@ -61,8 +45,7 @@ object SeqEngine {
   }
 
   /** Synchronous iteration (Eq. 1): every vertex reads previous-round states. */
-  def sync(g0: DiGraph, prog: VertexProgram, source: Int = -1, maxRounds: Int = 100000): RunResult = {
-    val g      = prepare(g0, prog)
+  def sync(g: DiGraph, prog: VertexProgram, source: Int = -1, maxRounds: Int = 100000): RunResult = {
     val n      = g.numVertices
     checkSource(prog, source, n)
     val blk    = Block.of(g, Array.range(0, n))
@@ -88,10 +71,9 @@ object SeqEngine {
     * runs with round counted from 1 and the live state array, which the next
     * round overwrites (copy it to keep it).
     */
-  def async(g0: DiGraph, prog: VertexProgram, order: VertexOrder,
+  def async(g: DiGraph, prog: VertexProgram, order: VertexOrder,
             source: Int = -1, maxRounds: Int = 100000,
             onRound: (Int, Double, Int, Array[Double]) => Unit = (_, _, _, _) => ()): RunResult = {
-    val g = prepare(g0, prog)
     val n = g.numVertices
     require(order.n == n, s"order size ${order.n} != |V|=$n")
     checkSource(prog, source, n)

@@ -40,7 +40,7 @@ object SparkBlockAsyncEngine {
     else { val l = fold.lane(n, track = false); taskLane.set((fold, l)); l }
   }
 
-  /** Cut `order` into `numBlocks` contiguous ranges of `g`'s (prepared) vertices. */
+  /** Cut `order` into `numBlocks` contiguous ranges of `g`'s vertices. */
   private def cut(g: DiGraph, order: VertexOrder, numBlocks: Int): Array[Block] = {
     val n = g.numVertices
     require(order.n == n, s"order size ${order.n} != |V|=$n")
@@ -53,21 +53,18 @@ object SparkBlockAsyncEngine {
   }
 
   /** Build the cached block dataset for (graph, order, numBlocks), blocks
-    * in ordinal order, with the graph the program runs on (symmetrized for
-    * CC, `g0` itself otherwise).
+    * in ordinal order. Every program runs on the same blocks of `g` itself,
+    * so `prog` is unused and the graph returned is `g`; both stay in the
+    * signature for the benchmark's call.
     */
-  def blocks(spark: SparkSession, g0: DiGraph, prog: VertexProgram,
-             order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) = {
-    val g = SeqEngine.prepare(g0, prog)
+  def blocks(spark: SparkSession, g: DiGraph, prog: VertexProgram,
+             order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) =
     (spark.createDataset(cut(g, order, numBlocks).toSeq)(blockEncoder).cache(), g)
-  }
 
   /** Run to convergence; states returned indexed by vertex id. */
-  def run(spark: SparkSession, g0: DiGraph, prog: VertexProgram, order: VertexOrder,
-          source: Int = -1, numBlocks: Int = 16, maxRounds: Int = 100000): RunResult = {
-    val g = SeqEngine.prepare(g0, prog)
+  def run(spark: SparkSession, g: DiGraph, prog: VertexProgram, order: VertexOrder,
+          source: Int = -1, numBlocks: Int = 16, maxRounds: Int = 100000): RunResult =
     supersteps(spark, cut(g, order, numBlocks), g, prog, source, maxRounds)
-  }
 
   /** Runs supersteps over a block dataset built by [[blocks]] until
     * convergence or `maxRounds`. `ds` is collected once and stays cached for

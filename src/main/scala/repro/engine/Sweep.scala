@@ -119,7 +119,7 @@ object Fold {
   }
 
   /** x_v = min(x_v, min_{u∈IN(v)} x_u + w_uv), with the edge weights when
-    * `weighted` (SSSP) and `c` per edge otherwise (BFS: 1, CC: 0).
+    * `weighted` (SSSP) and 1 per edge otherwise (BFS).
     *
     * With dirty flags (SeqEngine) a vertex is folded only if an in-neighbour
     * changed since it was last folded, and a change sets its out-neighbours'
@@ -127,7 +127,7 @@ object Fold {
     * last taken, and the state is already at most that. A skipped vertex
     * keeps its state, copied into `w`.
     */
-  final case class MinPlus(weighted: Boolean, c: Double = 1.0) extends Fold {
+  final case class MinPlus(weighted: Boolean) extends Fold {
 
     private[engine] def lane(n: Int, track: Boolean): Lane =
       new Lane(new Array[Double](n), null, if (track) new Array[Boolean](n) else null)
@@ -142,7 +142,7 @@ object Fold {
       val vids  = blk.vids; val off = blk.off; val adj = blk.adj; val wgt = blk.wgt
       val x     = r.x; val xw = w.x
       val dirty = r.dirty; val mark = w.dirty
-      val byWgt = weighted; val step = c
+      val byWgt = weighted
       val set: Int => Unit = u => mark(u) = true
       var maxDelta = 0.0
       var changed  = 0
@@ -155,7 +155,7 @@ object Fold {
           val end = off(i + 1)
           var acc = Double.PositiveInfinity
           var j   = off(i)
-          while (j < end) { acc = math.min(acc, x(adj(j)) + (if (byWgt) wgt(j) else step)); j += 1 }
+          while (j < end) { acc = math.min(acc, x(adj(j)) + (if (byWgt) wgt(j) else 1.0)); j += 1 }
           val nx = math.min(old, acc)
           val d  = math.abs(nx - old)
           if (d > maxDelta) maxDelta = d // ∞ − ∞ is NaN, never greater: unchanged

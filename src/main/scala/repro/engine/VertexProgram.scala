@@ -5,9 +5,9 @@ package repro.engine
   *
   * A program is its initial states and its [[Fold]], the whole vertex update
   * with the program's constants as data. All engines run the fold's sweep
-  * loop; they differ only in *which* neighbor state version it reads:
-  * previous round (Eq. 1, synchronous) or current round where available
-  * (Eq. 2, asynchronous).
+  * loop on the graph they are given; they differ only in *which* neighbor
+  * state version it reads: previous round (Eq. 1, synchronous) or current
+  * round where available (Eq. 2, asynchronous).
   */
 trait VertexProgram extends Serializable {
   def name: String
@@ -20,9 +20,6 @@ trait VertexProgram extends Serializable {
 
   /** Convergence tolerance on the per-round max |Δx| (0 = exact). */
   def tol: Double
-
-  /** True if edges must be symmetrized before running (CC). */
-  def needsSymmetric: Boolean = false
 
   /** True if the algorithm needs a source vertex. */
   def sourced: Boolean
@@ -58,16 +55,6 @@ object BFS extends VertexProgram {
   val tol                           = 0.0
   def init(v: Int, s: Int): Double  = if (v == s) 0.0 else Double.PositiveInfinity
   val fold: Fold                    = Fold.MinPlus(weighted = false)
-}
-
-/** Connected components: min-label propagation over the symmetrized graph. */
-object CC extends VertexProgram {
-  val name                          = "CC"
-  val sourced                       = false
-  val tol                           = 0.0
-  override val needsSymmetric       = true
-  def init(v: Int, s: Int): Double  = v.toDouble
-  val fold: Fold                    = Fold.MinPlus(weighted = false, c = 0.0)
 }
 
 /** Penalized hitting probability: source pinned at 1,

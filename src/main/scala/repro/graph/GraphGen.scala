@@ -10,8 +10,8 @@ import scala.util.Random
   * (see DESIGN.md §4). All generators are deterministic in their seed, so the
   * benches and the DuckDB oracle see identical inputs across runs.
   *
-  * Edge weights are uniform in [1, 10) (integer-valued) so SSSP/SSWP are
-  * non-trivial; BFS/PageRank/CC/PHP ignore weights.
+  * Edge weights are uniform in [1, 10) (integer-valued) so SSSP is
+  * non-trivial; BFS/PageRank/PHP ignore weights.
   */
 object GraphGen {
 

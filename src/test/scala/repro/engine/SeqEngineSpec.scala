@@ -44,17 +44,6 @@ object References {
     lvl
   }
 
-  /** Connected components (undirected) via union-find; label = min member id. */
-  def components(g: DiGraph): Array[Double] = {
-    val parent = Array.tabulate(g.numVertices)(identity)
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); r }
-    g.foreachEdge { (u, v, _) =>
-      val (ru, rv) = (find(u), find(v))
-      if (ru != rv) parent(math.max(ru, rv)) = math.min(ru, rv)
-    }
-    Array.tabulate(g.numVertices)(v => find(v).toDouble)
-  }
-
   /** Dense PageRank power iteration to high precision. */
   def pagerank(g: DiGraph, d: Double = 0.85, iters: Int = 300): Array[Double] = {
     val n = g.numVertices
@@ -141,18 +130,6 @@ class SeqEngineSpec extends AnyFunSuite {
     assert(res.states.toSeq == References.bfsLevels(g, src).toSeq)
   }
 
-  test("sync CC matches union-find components") {
-    val g = DiGraph.unweighted(8, Seq((0, 1), (1, 2), (3, 4), (5, 6)))
-    val res = SeqEngine.sync(g, CC)
-    assert(res.states.toSeq == References.components(g).toSeq)
-  }
-
-  test("async CC matches union-find components on a random graph") {
-    val g = GraphGen.erdosRenyi(120, 200, seed = 75) // sparse: several components
-    val res = SeqEngine.async(g, CC, DefaultOrder.order(g))
-    assert(res.states.toSeq == References.components(g).toSeq)
-  }
-
   test("sync PageRank matches dense power iteration") {
     val g = GraphGen.rmat(100, 800, seed = 76)
     val res = SeqEngine.sync(g, PageRank)
@@ -231,17 +208,6 @@ class SeqEngineSpec extends AnyFunSuite {
         prev = x
       }
     }
-  }
-
-  test("symmetrize doubles edges and mirrors adjacency") {
-    val g = DiGraph.unweighted(3, Seq((0, 1), (1, 2)))
-    val s = SeqEngine.symmetrize(g)
-    assert(s.numEdges == 4)
-    var in0 = Set.empty[Int]; var out2 = Set.empty[Int]
-    s.foreachIn(0)(in0 += _)
-    s.foreachOut(2)(out2 += _)
-    assert(in0 == Set(1))
-    assert(out2 == Set(1))
   }
 
   test("PHP states stay within [0, 1]") {

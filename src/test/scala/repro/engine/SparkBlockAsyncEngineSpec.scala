@@ -71,12 +71,6 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     assert(goR <= defR, s"GoGraph $goR supersteps vs Default $defR")
   }
 
-  test("CC over blocks matches union-find components") {
-    val g = DiGraph.unweighted(12, Seq((0, 1), (1, 2), (3, 4), (6, 7), (7, 8), (10, 11)))
-    val res = SparkBlockAsyncEngine.run(spark, g, CC, DefaultOrder.order(g), numBlocks = 3)
-    assert(res.states.toSeq == References.components(g).toSeq)
-  }
-
   test("block construction covers every vertex exactly once") {
     val g = GraphGen.rmat(50, 300, seed = 102)
     val o = VertexOrder.fromOrder(GraphGen.randomPermutation(50, seed = 103))
@@ -116,7 +110,6 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     ("PageRank", PageRank, GraphGen.rmat(80, 500, seed = 90), _ => -1),
     ("PHP", PHP, GraphGen.rmat(60, 360, seed = 92), hub),
     ("BFS", BFS, GraphGen.rmat(100, 600, seed = 91), hub),
-    ("CC", CC, DiGraph.unweighted(10, Seq((0, 1), (1, 2), (4, 5), (7, 8), (8, 9))), _ => -1),
   ).foreach { case (label, prog, g, pick) =>
     test(s"$label: |V| blocks = sync, 1 block = async, bit for bit") {
       val src = pick(g)
@@ -171,8 +164,7 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     test(s"$label: sync, async and 1, |V| and |V|+3 blocks agree with the references") {
       val n = g.numVertices
       val o = DefaultOrder.order(g)
-      val unsourced = Seq[(VertexProgram, Int, Array[Double])](
-        (PageRank, -1, References.pagerank(g)), (CC, -1, References.components(g)))
+      val unsourced = Seq[(VertexProgram, Int, Array[Double])]((PageRank, -1, References.pagerank(g)))
       val sourced =
         if (n == 0) Nil
         else Seq[(VertexProgram, Int, Array[Double])](
