@@ -44,11 +44,31 @@ object SeqEngine {
     x
   }
 
+  /** `g` relabeled by `order` (ids = ordinals), or `g` itself when `order`
+    * is the identity.
+    */
+  private[engine] def inOrder(g: DiGraph, order: VertexOrder): DiGraph = {
+    require(order.n == g.numVertices, s"order size ${order.n} != |V|=${g.numVertices}")
+    if (isIdentity(order)) g else g.relabel(order.pos)
+  }
+
+  private def isIdentity(order: VertexOrder): Boolean = order.pos.indices.forall(v => order.pos(v) == v)
+
+  /** `prog`'s source as an ordinal of `order` (-1 for an unsourced program). */
+  private[engine] def sourceOrdinal(prog: VertexProgram, order: VertexOrder, source: Int): Int = {
+    checkSource(prog, source, order.n)
+    if (prog.sourced) order.pos(source) else -1
+  }
+
+  /** The states `x`, indexed by ordinal of `order`, re-indexed by vertex id. */
+  private[engine] def byId(order: VertexOrder, x: Array[Double]): Array[Double] =
+    if (isIdentity(order)) x else Array.tabulate(order.n)(v => x(order.pos(v)))
+
   /** Synchronous iteration (Eq. 1): every vertex reads previous-round states. */
   def sync(g: DiGraph, prog: VertexProgram, source: Int = -1, maxRounds: Int = 100000): RunResult = {
     val n      = g.numVertices
     checkSource(prog, source, n)
-    val blk    = Block.of(g, Array.range(0, n))
+    val blk    = Block(0, n)
     val outDeg = g.outDegrees
     val fold   = prog.fold
     var r      = fold.load(initialStates(prog, n, source), outDeg, fold.lane(n, track = true))
@@ -56,7 +76,7 @@ object SeqEngine {
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {
-      converged = fold.sweep(blk, r, w, outDeg, g, source).maxDelta <= prog.tol
+      converged = fold.sweep(g, blk, r, w, outDeg, source).maxDelta <= prog.tol
       val t = r; r = w; w = t
       rounds += 1
     }
@@ -65,30 +85,32 @@ object SeqEngine {
 
   /** Asynchronous iteration (Eq. 2): vertices processed in `order`; each
     * reads current-round states of earlier-ordinal in-neighbors and
-    * previous-round states of later ones (in-place array sweep).
+    * previous-round states of later ones (in-place array sweep). The sweep
+    * runs over `g` relabeled by `order`, in id order; `source` and the
+    * returned states are indexed by `g`'s ids.
     *
     * After each round, `onRound(round, max |Δx|, changed vertices, states)`
-    * runs with round counted from 1 and the live state array, which the next
-    * round overwrites (copy it to keep it).
+    * runs with round counted from 1 and the live state array, indexed by
+    * ordinal, which the next round overwrites (copy it to keep it).
     */
   def async(g: DiGraph, prog: VertexProgram, order: VertexOrder,
             source: Int = -1, maxRounds: Int = 100000,
             onRound: (Int, Double, Int, Array[Double]) => Unit = (_, _, _, _) => ()): RunResult = {
-    val n = g.numVertices
-    require(order.n == n, s"order size ${order.n} != |V|=$n")
-    checkSource(prog, source, n)
-    val blk    = Block.of(g, order.order)
-    val outDeg = g.outDegrees
+    val h      = inOrder(g, order)
+    val n      = h.numVertices
+    val s      = sourceOrdinal(prog, order, source)
+    val blk    = Block(0, n)
+    val outDeg = h.outDegrees
     val fold   = prog.fold
-    val lane   = fold.load(initialStates(prog, n, source), outDeg, fold.lane(n, track = true))
+    val lane   = fold.load(initialStates(prog, n, s), outDeg, fold.lane(n, track = true))
     var rounds = 0
     var converged = false
     while (!converged && rounds < maxRounds) {
-      val s = fold.sweep(blk, lane, lane, outDeg, g, source)
-      converged = s.maxDelta <= prog.tol
+      val sw = fold.sweep(h, blk, lane, lane, outDeg, s)
+      converged = sw.maxDelta <= prog.tol
       rounds += 1
-      onRound(rounds, s.maxDelta, s.changed, lane.x)
+      onRound(rounds, sw.maxDelta, sw.changed, lane.x)
     }
-    RunResult(lane.x, rounds, converged)
+    RunResult(byId(order, lane.x), rounds, converged)
   }
 }

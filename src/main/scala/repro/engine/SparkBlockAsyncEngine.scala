@@ -2,18 +2,18 @@ package repro.engine
 
 import org.apache.spark.TaskContext
 import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
-import org.apache.spark.storage.StorageLevel
 import repro.graph.DiGraph
 import repro.order.VertexOrder
 
 /** Distributed adaptation of the paper's asynchronous mode (Eq. 2).
   *
-  * The processing order is cut into `numBlocks` contiguous ordinal ranges,
-  * one per Spark task. Within a superstep, each block runs a sequential
-  * Gauss–Seidel sweep over its vertices *in processing order*, reading
-  * current-superstep states for in-block in-neighbors already updated this
-  * sweep and previous-superstep states (broadcast) for everything else.
-  * Cross-block states synchronize once per superstep.
+  * The graph is relabeled by the processing order (ids = ordinals) and its
+  * ids are cut into `numBlocks` contiguous ranges, one per Spark task. Within
+  * a superstep, each block runs a sequential Gauss–Seidel sweep over its
+  * vertices *in processing order*, reading current-superstep states for
+  * in-block in-neighbors already updated this sweep and previous-superstep
+  * states (broadcast) for everything else. Cross-block states synchronize
+  * once per superstep.
   *
   * This interpolates exactly between the paper's two modes — identities
   * verified in tests:
@@ -40,67 +40,67 @@ object SparkBlockAsyncEngine {
     else { val l = fold.lane(n, track = false); taskLane.set((fold, l)); l }
   }
 
-  /** Cut `order` into `numBlocks` contiguous ranges of `g`'s vertices. */
-  private def cut(g: DiGraph, order: VertexOrder, numBlocks: Int): Array[Block] = {
-    val n = g.numVertices
-    require(order.n == n, s"order size ${order.n} != |V|=$n")
+  /** Cut the ids `0 until n` into `numBlocks` contiguous ranges. */
+  private def cut(n: Int, numBlocks: Int): Array[Block] = {
     val nb = math.max(1, math.min(numBlocks, n))
-    Array.tabulate(nb) { b =>
-      val lo = (b.toLong * n / nb).toInt
-      val hi = ((b + 1).toLong * n / nb).toInt
-      Block.of(g, java.util.Arrays.copyOfRange(order.order, lo, hi))
-    }
+    Array.tabulate(nb)(b => Block((b.toLong * n / nb).toInt, ((b + 1).toLong * n / nb).toInt))
   }
 
-  /** Build the cached block dataset for (graph, order, numBlocks), blocks
-    * in ordinal order. Every program runs on the same blocks of `g` itself,
-    * so `prog` is unused and the graph returned is `g`; both stay in the
-    * signature for the benchmark's call.
+  /** The cached block dataset for (graph, order, numBlocks), blocks in
+    * ordinal order, and the graph they are ranges of: `g` relabeled by
+    * `order`. Every program runs on the same blocks, so `prog` is unused; it
+    * stays in the signature for the benchmark's call.
     */
   def blocks(spark: SparkSession, g: DiGraph, prog: VertexProgram,
-             order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) =
-    (spark.createDataset(cut(g, order, numBlocks).toSeq)(blockEncoder).cache(), g)
+             order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) = {
+    val h = SeqEngine.inOrder(g, order)
+    (spark.createDataset(cut(h.numVertices, numBlocks).toSeq)(blockEncoder).cache(), h)
+  }
 
-  /** Run to convergence; states returned indexed by vertex id. */
+  /** Run to convergence; `source` and the returned states are indexed by
+    * `g`'s ids.
+    */
   def run(spark: SparkSession, g: DiGraph, prog: VertexProgram, order: VertexOrder,
-          source: Int = -1, numBlocks: Int = 16, maxRounds: Int = 100000): RunResult =
-    supersteps(spark, cut(g, order, numBlocks), g, prog, source, maxRounds)
+          source: Int = -1, numBlocks: Int = 16, maxRounds: Int = 100000): RunResult = {
+    val h = SeqEngine.inOrder(g, order)
+    supersteps(spark, cut(h.numVertices, numBlocks), h, prog, order, source, maxRounds)
+  }
 
-  /** Runs supersteps over a block dataset built by [[blocks]] until
-    * convergence or `maxRounds`. `ds` is collected once and stays cached for
-    * the caller. `order` is unused (the blocks already carry it); it stays in
-    * the signature for the benchmark's call.
+  /** Runs supersteps over a block dataset and graph built by [[blocks]]
+    * until convergence or `maxRounds`. `ds` is collected once and stays
+    * cached for the caller; `source` and the returned states are indexed by
+    * the ids of the graph `order` relabeled.
     */
   private[engine] def runOnBlocks(spark: SparkSession, ds: Dataset[Block], g: DiGraph,
                                   prog: VertexProgram, order: VertexOrder,
                                   source: Int, maxRounds: Int): RunResult =
-    supersteps(spark, ds.collect(), g, prog, source, maxRounds)
+    supersteps(spark, ds.collect(), g, prog, order, source, maxRounds)
 
-  /** The superstep loop over the blocks `bs`.
+  /** The superstep loop over the blocks `bs` of `g`, whose ids are the
+    * ordinals of `order`; `source` and the returned states are indexed by
+    * the ids before relabeling.
     *
-    * `bs(b)` becomes partition `b` of a persisted RDD whose lineage is cut
-    * once, so tasks carry neither a query plan nor block data (the local
-    * checkpoint is not replicated: a lost executor fails the run). Each
-    * superstep is one job of one task per block: the task sweeps its block
-    * against a private lane loaded with the broadcast states (every vertex
-    * is folded: a task has no out-edges to carry dirty flags) and returns the
-    * block's new states in block order with its max |Δx|; the driver writes
-    * them into the next states through the block's `vids`. The RDD and the broadcasts
-    * are released on return or failure.
+    * `g` and its out-degrees are broadcast once per run; `bs(b)` is
+    * partition `b` of a plain parallelized RDD, so a task carries two ints.
+    * Each superstep is one job of one task per block: the task sweeps its
+    * block against a private lane loaded with the broadcast states (every
+    * vertex is folded: a task has no dirty flags) and returns the block's
+    * new states with its max |Δx|; the driver copies them into the next
+    * states. The broadcasts are released on return or failure.
     */
   private def supersteps(spark: SparkSession, bs: Array[Block], g: DiGraph, prog: VertexProgram,
-                         source: Int, maxRounds: Int): RunResult = {
-    val n = g.numVertices
-    SeqEngine.checkSource(prog, source, n)
+                         order: VertexOrder, source: Int, maxRounds: Int): RunResult = {
+    val n     = g.numVertices
+    val s     = SeqEngine.sourceOrdinal(prog, order, source)
     val sc    = spark.sparkContext
-    val rdd   = sc.parallelize(bs.toSeq, bs.length).persist(StorageLevel.MEMORY_ONLY)
+    val rdd   = sc.parallelize(bs.toSeq, bs.length)
+    val bcG   = sc.broadcast(g)
     val bcDeg = sc.broadcast(g.outDegrees)
     val fold  = prog.fold
-    var x     = SeqEngine.initialStates(prog, n, source)
+    var x     = SeqEngine.initialStates(prog, n, s)
     var rounds = 0
     var converged = false
     try {
-      rdd.localCheckpoint().count()
       while (!converged && rounds < maxRounds) {
         val bcX  = sc.broadcast(x)
         val next = x.clone()
@@ -109,15 +109,10 @@ object SparkBlockAsyncEngine {
             val blk  = it.next()
             // private lane: in-block vertices read the states updated before them
             val lane = fold.load(bcX.value, bcDeg.value, laneFor(fold, n))
-            val d    = fold.sweep(blk, lane, lane, bcDeg.value, null, source).maxDelta
-            val vids = blk.vids; val out = new Array[Double](vids.length)
-            var i    = 0
-            while (i < vids.length) { out(i) = lane.x(vids(i)); i += 1 }
-            (out, d)
+            val d    = fold.sweep(bcG.value, blk, lane, lane, bcDeg.value, s).maxDelta
+            (java.util.Arrays.copyOfRange(lane.x, blk.lo, blk.hi), d)
           }, bs.indices, (b: Int, r: (Array[Double], Double)) => {
-            val vids = bs(b).vids; val vals = r._1
-            var i = 0
-            while (i < vids.length) { next(vids(i)) = vals(i); i += 1 }
+            System.arraycopy(r._1, 0, next, bs(b).lo, r._1.length)
             if (r._2 > maxDelta) maxDelta = r._2
           })
         finally bcX.destroy()
@@ -125,10 +120,10 @@ object SparkBlockAsyncEngine {
         rounds += 1
         converged = maxDelta <= prog.tol
       }
-      RunResult(x, rounds, converged)
+      RunResult(SeqEngine.byId(order, x), rounds, converged)
     } finally {
       bcDeg.destroy()
-      rdd.unpersist()
+      bcG.destroy()
     }
   }
 }

@@ -2,30 +2,10 @@ package repro.engine
 
 import repro.graph.DiGraph
 
-/** Vertices in processing order with their in-adjacency in CSR form
-  * (`off`/`adj`/`wgt` indexed by position in `vids`).
+/** The vertices `lo until hi` of a graph whose ids are ordinals, swept in id
+  * order over the graph's own in-CSR.
   */
-final case class Block(
-    vids: Array[Int],
-    off: Array[Int],
-    adj: Array[Int],
-    wgt: Array[Double],
-)
-
-object Block {
-
-  /** The in-edges of `vids`, in that order, from graph `g`. */
-  def of(g: DiGraph, vids: Array[Int]): Block = {
-    val off = new Array[Int](vids.length + 1)
-    var i = 0
-    while (i < vids.length) { off(i + 1) = off(i) + g.inDegree(vids(i)); i += 1 }
-    val adj = new Array[Int](off(vids.length))
-    val wgt = new Array[Double](off(vids.length))
-    i = 0
-    while (i < vids.length) { g.copyIn(vids(i), adj, wgt, off(i)); i += 1 }
-    Block(vids, off, adj, wgt)
-  }
-}
+final case class Block(lo: Int, hi: Int)
 
 /** What one sweep did: the max |Δx| over its vertices and how many of them
   * changed state.
@@ -64,12 +44,12 @@ sealed abstract class Fold extends Serializable {
     */
   private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane): Lane
 
-  /** One sweep over `blk` in order: each vertex folds its in-edges from `r`
-    * and writes its new state (and what goes with it) into `w`. `outDeg` is
-    * every vertex's out-degree; `g`'s out-edges carry the dirty flags (null
-    * when the lanes have none).
+  /** One sweep over `g`'s vertices `blk.lo until blk.hi` in id order: each
+    * vertex folds its in-edges from `r` and writes its new state (and what
+    * goes with it) into `w`. `outDeg` is every vertex's out-degree; `g`'s
+    * out-edges carry the dirty flags.
     */
-  private[engine] def sweep(blk: Block, r: Lane, w: Lane, outDeg: Array[Int], g: DiGraph, source: Int): Swept
+  private[engine] def sweep(g: DiGraph, blk: Block, r: Lane, w: Lane, outDeg: Array[Int], source: Int): Swept
 }
 
 object Fold {
@@ -91,19 +71,19 @@ object Fold {
       l
     }
 
-    private[engine] def sweep(blk: Block, r: Lane, w: Lane, outDeg: Array[Int], g: DiGraph, source: Int): Swept = {
-      val vids = blk.vids; val off = blk.off; val adj = blk.adj
-      val x    = r.x; val y = r.y; val xw = w.x; val yw = w.y
-      val pin  = if (pinSource) source else -1
-      val b    = base; val c = scale
+    private[engine] def sweep(g: DiGraph, blk: Block, r: Lane, w: Lane, outDeg: Array[Int], source: Int): Swept = {
+      val off = g.inOff; val adj = g.inAdj
+      val x   = r.x; val y = r.y; val xw = w.x; val yw = w.y
+      val pin = if (pinSource) source else -1
+      val b   = base; val c = scale
       var maxDelta = 0.0
       var changed  = 0
-      var i = 0
-      while (i < vids.length) {
-        val v   = vids(i)
-        val end = off(i + 1)
+      val hi = blk.hi
+      var v  = blk.lo
+      while (v < hi) {
+        val end = off(v + 1)
         var acc = 0.0
-        var j   = off(i)
+        var j   = off(v)
         while (j < end) { acc = acc + y(adj(j)); j += 1 }
         val old = x(v)
         val nx  = if (v == pin) 1.0 else b + c * acc
@@ -112,7 +92,7 @@ object Fold {
         if (nx != old) changed += 1
         xw(v) = nx
         yw(v) = nx / outDeg(v)
-        i += 1
+        v += 1
       }
       Swept(maxDelta, changed)
     }
@@ -138,23 +118,23 @@ object Fold {
       l
     }
 
-    private[engine] def sweep(blk: Block, r: Lane, w: Lane, outDeg: Array[Int], g: DiGraph, source: Int): Swept = {
-      val vids  = blk.vids; val off = blk.off; val adj = blk.adj; val wgt = blk.wgt
+    private[engine] def sweep(g: DiGraph, blk: Block, r: Lane, w: Lane, outDeg: Array[Int], source: Int): Swept = {
+      val off   = g.inOff; val adj = g.inAdj; val wgt = g.inWgt
       val x     = r.x; val xw = w.x
       val dirty = r.dirty; val mark = w.dirty
       val byWgt = weighted
       val set: Int => Unit = u => mark(u) = true
       var maxDelta = 0.0
       var changed  = 0
-      var i = 0
-      while (i < vids.length) {
-        val v   = vids(i)
+      val hi = blk.hi
+      var v  = blk.lo
+      while (v < hi) {
         val old = x(v)
         if (dirty == null || dirty(v)) {
           if (dirty != null) dirty(v) = false
-          val end = off(i + 1)
+          val end = off(v + 1)
           var acc = Double.PositiveInfinity
-          var j   = off(i)
+          var j   = off(v)
           while (j < end) { acc = math.min(acc, x(adj(j)) + (if (byWgt) wgt(j) else 1.0)); j += 1 }
           val nx = math.min(old, acc)
           val d  = math.abs(nx - old)
@@ -165,7 +145,7 @@ object Fold {
           }
           xw(v) = nx
         } else xw(v) = old
-        i += 1
+        v += 1
       }
       Swept(maxDelta, changed)
     }

@@ -346,9 +346,11 @@ object Eval {
     val source = if (prog.sourced) defaultSource(g) else -1
     val star   = converged(SeqEngine.sync(g, prog, source), s"sync ${prog.name}").finiteSum
     methods.map { r =>
+      val o    = r.order(g)
       val sums = Array.newBuilder[Double]
-      SeqEngine.async(g, prog, r.order(g), source, maxRounds = rounds,
-        onRound = (_, _, _, x) => sums += RunResult.finiteSum(x))
+      // the live states are indexed by ordinal: sum them in vertex-id order
+      SeqEngine.async(g, prog, o, source, maxRounds = rounds, onRound = (_, _, _, x) =>
+        sums += RunResult.finiteSum(Array.tabulate(g.numVertices)(v => x(o.pos(v)))))
       val s = sums.result()
       ConvergenceRow(r.name, (0 until rounds).map(k => math.abs(star - s(math.min(k, s.length - 1)))))
     }

@@ -12,7 +12,7 @@ import org.apache.spark.sql.types._
   *
   * This is the driver-side substrate for the reordering algorithms, which are
   * inherently sequential preprocessing, and for the engines, which sweep its
-  * in-adjacency (the block engine ships it to Spark as per-block CSR slices).
+  * in-adjacency in id order (the block engine broadcasts it once per run).
   * [[DiGraph.edgesDF]] exposes the edges as a Spark DataFrame for relational
   * queries such as the M(·) metric.
   */
@@ -21,9 +21,9 @@ final class DiGraph private[graph] (
     private val outOff: Array[Int],
     private val outAdj: Array[Int],
     private val outWgt: Array[Double],
-    private val inOff: Array[Int],
-    private val inAdj: Array[Int],
-    private val inWgt: Array[Double],
+    private[repro] val inOff: Array[Int],
+    private[repro] val inAdj: Array[Int],
+    private[repro] val inWgt: Array[Double],
 ) extends Serializable {
 
   /** Number of directed edges (parallel edges counted, self-loops excluded). */
@@ -69,14 +69,6 @@ final class DiGraph private[graph] (
     * tie-breaks from this sequence.
     */
   def foreachNeighbor(v: Int)(f: Int => Unit): Unit = { foreachOut(v)(f); foreachIn(v)(f) }
-
-  /** Copy `v`'s in-edges (sources and weights, in CSR order) into `adj` and
-    * `wgt` from index `at`.
-    */
-  def copyIn(v: Int, adj: Array[Int], wgt: Array[Double], at: Int): Unit = {
-    System.arraycopy(inAdj, inOff(v), adj, at, inDegree(v))
-    System.arraycopy(inWgt, inOff(v), wgt, at, inDegree(v))
-  }
 
   /** `seeds` in breadth-first order over the undirected view: each seed not
     * yet reached, in turn, starts a traversal that reaches a neighbor `u` of
@@ -132,15 +124,21 @@ final class DiGraph private[graph] (
     b.result()
   }
 
-  /** Graph with every vertex id `v` replaced by `perm(v)`; same topology. */
+  /** Graph with every vertex id `v` replaced by `perm(v)`, which must be a
+    * permutation of the ids; same topology. Vertex `perm(v)` keeps `v`'s
+    * out-list and in-list in their order, so a sweep of the result in id
+    * order folds every vertex's in-edges as a sweep of this graph would.
+    */
   def relabel(perm: Array[Int]): DiGraph = {
     require(perm.length == numVertices, s"perm size ${perm.length} != $numVertices")
-    val src = new Array[Int](numEdges); val dst = new Array[Int](numEdges)
-    var u   = 0
-    while (u < numVertices) { java.util.Arrays.fill(src, outOff(u), outOff(u + 1), perm(u)); u += 1 }
-    var i   = 0
-    while (i < numEdges) { dst(i) = perm(outAdj(i)); i += 1 }
-    DiGraph.fromArrays(numVertices, src, dst, outWgt)
+    val seen = new Array[Boolean](numVertices)
+    perm.foreach { p =>
+      require(p >= 0 && p < numVertices && !seen(p), s"perm is not a permutation of 0 until $numVertices")
+      seen(p) = true
+    }
+    val (oOff, oAdj, oWgt) = DiGraph.scatter(perm, outOff, outAdj, outWgt)
+    val (iOff, iAdj, iWgt) = DiGraph.scatter(perm, inOff, inAdj, inWgt)
+    new DiGraph(numVertices, oOff, oAdj, oWgt, iOff, iAdj, iWgt)
   }
 
   /** Edge list as a DataFrame `(src: long, dst: long, weight: double)`. */
@@ -164,6 +162,28 @@ object DiGraph {
     * [[DiGraph.walkEdges]].
     */
   trait EdgeFn { def apply(src: Int, dst: Int, weight: Double): Unit }
+
+  /** The CSR (`off`, `adj`, `wgt`) with list `v` moved to `perm(v)` and every
+    * neighbour `u` in it renamed `perm(u)`, each list in its order.
+    */
+  private def scatter(perm: Array[Int], off: Array[Int], adj: Array[Int],
+                      wgt: Array[Double]): (Array[Int], Array[Int], Array[Double]) = {
+    val n    = perm.length
+    val off2 = new Array[Int](n + 1)
+    var v    = 0
+    while (v < n) { off2(perm(v) + 1) = off(v + 1) - off(v); v += 1 }
+    v = 0
+    while (v < n) { off2(v + 1) += off2(v); v += 1 }
+    val adj2 = new Array[Int](adj.length); val wgt2 = new Array[Double](wgt.length)
+    v = 0
+    while (v < n) {
+      var i = off(v); var j = off2(perm(v))
+      System.arraycopy(wgt, i, wgt2, j, off(v + 1) - i)
+      while (i < off(v + 1)) { adj2(j) = perm(adj(i)); i += 1; j += 1 }
+      v += 1
+    }
+    (off2, adj2, wgt2)
+  }
 
   /** Build from parallel edge arrays: edge `i` is `src(i) -> dst(i)` with
     * weight `wgt(i)`. Every endpoint is validated, then self-loops are

@@ -113,11 +113,18 @@ object GraphGen {
 
   /** Relabel all vertices with a seeded random permutation — used to destroy
     * a generator's chronological ID order when the real dataset's IDs carry
-    * no such structure (e.g. LiveJournal crawl order).
+    * no such structure (e.g. LiveJournal crawl order). The graph is rebuilt
+    * from its permuted edge stream, so each in-list is sorted by its
+    * sources' old ids (unlike [[DiGraph.relabel]]); the analogues are these
+    * graphs.
     */
   def shuffleIds(g: DiGraph, seed: Long): DiGraph = {
     val perm = randomPermutation(g.numVertices, seed)
-    g.relabel(perm)
+    val src  = new Array[Int](g.numEdges); val dst = new Array[Int](g.numEdges)
+    val wgt  = new Array[Double](g.numEdges)
+    var e    = 0
+    g.walkEdges { (u, v, w) => src(e) = perm(u); dst(e) = perm(v); wgt(e) = w; e += 1 }
+    DiGraph.fromArrays(g.numVertices, src, dst, wgt)
   }
 
   /** Seeded Fisher–Yates permutation of 0 until n. */

@@ -1,6 +1,7 @@
 package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.DiGraph
 
 class ProgramsSpec extends AnyFunSuite {
 
@@ -10,10 +11,10 @@ class ProgramsSpec extends AnyFunSuite {
     */
   private def update(prog: VertexProgram, old: Double, source: Int, edges: (Double, Double, Int)*): Double = {
     val k      = edges.length
-    val blk    = Block(Array(k), Array(0, k), Array.range(0, k), edges.map(_._2).toArray)
+    val g      = DiGraph.fromArrays(k + 1, Array.range(0, k), Array.fill(k)(k), edges.map(_._2).toArray)
     val outDeg = edges.map(_._3).toArray :+ 1
     val lane   = prog.fold.load(edges.map(_._1).toArray :+ old, outDeg, prog.fold.lane(k + 1, track = false))
-    prog.fold.sweep(blk, lane, lane, outDeg, null, source)
+    prog.fold.sweep(g, Block(k, k + 1), lane, lane, outDeg, source)
     lane.x(k)
   }
 

@@ -13,14 +13,34 @@ import repro.order.VertexOrder
   */
 object ReferenceSweep {
 
+  /** Vertices in processing order with a copy of their in-edges in CSR form
+    * (`off`/`adj`/`wgt` indexed by position in `vids`): the reference's own
+    * storage, shared with no engine.
+    */
+  final case class Slice(vids: Array[Int], off: Array[Int], adj: Array[Int], wgt: Array[Double])
+
+  object Slice {
+
+    /** The in-edges of `vids`, in that order, from graph `g`. */
+    def of(g: DiGraph, vids: Array[Int]): Slice = {
+      val off = vids.map(g.inDegree).scanLeft(0)(_ + _)
+      val adj = new Array[Int](off.last); val wgt = new Array[Double](off.last)
+      vids.indices.foreach { i =>
+        System.arraycopy(g.inAdj, g.inOff(vids(i)), adj, off(i), g.inDegree(vids(i)))
+        System.arraycopy(g.inWgt, g.inOff(vids(i)), wgt, off(i), g.inDegree(vids(i)))
+      }
+      Slice(vids, off, adj, wgt)
+    }
+  }
+
   /** A program's update as a fold over one vertex's in-edges and an apply. */
   trait Update {
-    def fold(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double
+    def fold(blk: Slice, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double
     def apply(v: Int, old: Double, acc: Double, source: Int): Double
   }
 
   /** Σ x_u / |OUT(u)| from 0. */
-  private def sumOverOutDegree(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double = {
+  private def sumOverOutDegree(blk: Slice, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double = {
     var acc = 0.0
     var j   = from
     while (j < until) { val u = blk.adj(j); acc = acc + read(u) / outDeg(u); j += 1 }
@@ -28,7 +48,7 @@ object ReferenceSweep {
   }
 
   /** min (x_u + w) from +∞, with w the edge weight or `c`. */
-  private def minPlus(blk: Block, from: Int, until: Int, read: Array[Double], c: Option[Double]): Double = {
+  private def minPlus(blk: Slice, from: Int, until: Int, read: Array[Double], c: Option[Double]): Double = {
     var acc = Double.PositiveInfinity
     var j   = from
     while (j < until) { acc = math.min(acc, read(blk.adj(j)) + c.getOrElse(blk.wgt(j))); j += 1 }
@@ -38,29 +58,29 @@ object ReferenceSweep {
   /** The update of each of the four programs, written as before the inlining. */
   def update(prog: VertexProgram): Update = prog match {
     case p: PageRank => new Update {
-      def fold(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
+      def fold(blk: Slice, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
         sumOverOutDegree(blk, from, until, read, outDeg)
       def apply(v: Int, old: Double, acc: Double, s: Int): Double = (1.0 - p.damping) + p.damping * acc
     }
     case PHP => new Update {
-      def fold(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
+      def fold(blk: Slice, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
         sumOverOutDegree(blk, from, until, read, outDeg)
       def apply(v: Int, old: Double, acc: Double, s: Int): Double = if (v == s) 1.0 else PHP.penalty * acc
     }
     case SSSP => new Update {
-      def fold(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
+      def fold(blk: Slice, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
         minPlus(blk, from, until, read, None)
       def apply(v: Int, old: Double, acc: Double, s: Int): Double = math.min(old, acc)
     }
     case BFS => new Update {
-      def fold(blk: Block, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
+      def fold(blk: Slice, from: Int, until: Int, read: Array[Double], outDeg: Array[Int]): Double =
         minPlus(blk, from, until, read, Some(1.0))
       def apply(v: Int, old: Double, acc: Double, s: Int): Double = math.min(old, acc)
     }
   }
 
   /** One sweep over `blk`: every vertex folds from `read` and writes `write`. */
-  def sweep(blk: Block, u: Update, outDeg: Array[Int], read: Array[Double], write: Array[Double],
+  def sweep(blk: Slice, u: Update, outDeg: Array[Int], read: Array[Double], write: Array[Double],
             source: Int): Swept = {
     var maxDelta = 0.0
     var changed  = 0
@@ -84,7 +104,7 @@ object ReferenceSweep {
 
   def sync(g: DiGraph, prog: VertexProgram, source: Int, maxRounds: Int = 100000): RunResult = {
     val n   = g.numVertices
-    val blk = Block.of(g, Array.range(0, n))
+    val blk = Slice.of(g, Array.range(0, n))
     var x   = init(g, prog, source)
     var xn  = new Array[Double](n)
     var rounds = 0
@@ -100,7 +120,7 @@ object ReferenceSweep {
   /** Async, with each round's (max |Δ|, changed) appended to `trace`. */
   def async(g: DiGraph, prog: VertexProgram, order: VertexOrder, source: Int,
             trace: collection.mutable.Buffer[(Double, Int)], maxRounds: Int = 100000): RunResult = {
-    val blk = Block.of(g, order.order)
+    val blk = Slice.of(g, order.order)
     val x   = init(g, prog, source)
     var rounds = 0
     var converged = false
@@ -121,7 +141,7 @@ object ReferenceSweep {
     val n  = g.numVertices
     val nb = math.max(1, math.min(numBlocks, n))
     val bs = (0 until nb).map { b =>
-      Block.of(g, order.order.slice((b.toLong * n / nb).toInt, ((b + 1).toLong * n / nb).toInt))
+      Slice.of(g, order.order.slice((b.toLong * n / nb).toInt, ((b + 1).toLong * n / nb).toInt))
     }
     var x = init(g, prog, source)
     var rounds = 0

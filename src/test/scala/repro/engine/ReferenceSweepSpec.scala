@@ -45,6 +45,24 @@ class ReferenceSweepSpec extends SparkSpec {
     (DiGraph.fromEdges(n, both), VertexOrder.fromOrder(GraphGen.randomPermutation(n, seed)), source)
   }
 
+  /** A random graph whose in-lists are not sorted by source (edges come in
+    * random order), with parallel edges of differing weights, a random order
+    * and a source. Half the graphs are made symmetric.
+    */
+  private val genRenaming: Gen[(DiGraph, VertexOrder, Int)] = for {
+    n      <- Gen.choose(1, 20)
+    m      <- Gen.choose(0, 4 * n)
+    edges  <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1), Gen.choose(0.5, 10.0)))
+    dups   <- Gen.choose(0, m)
+    source <- Gen.choose(0, n - 1)
+    sym    <- Gen.oneOf(true, false)
+    seed   <- Gen.choose(0L, 1000000L)
+  } yield {
+    val kept = edges ++ edges.take(dups).map { case (u, v, w) => (u, v, w + 0.5) }
+    val both = if (sym) kept ++ kept.map { case (u, v, w) => (v, u, w) } else kept
+    (DiGraph.fromEdges(n, both), VertexOrder.fromOrder(GraphGen.randomPermutation(n, seed)), source)
+  }
+
   private def bits(r: RunResult): Seq[Long] = r.states.toSeq.map(java.lang.Double.doubleToRawLongBits)
 
   private def same(got: RunResult, want: RunResult): Boolean =
@@ -74,5 +92,21 @@ class ReferenceSweepSpec extends SparkSpec {
         }
       }
     }, tests = 8)
+  }
+
+  test("property: relabeling is a pure renaming: runs on g.relabel(o.pos) in id order equal the reference on g in o") {
+    check(Prop.forAll(genRenaming) { case (g, o, src) =>
+      val h  = g.relabel(o.pos)
+      val id = VertexOrder.identity(g.numVertices)
+      // states of h are indexed by ordinal of o: read them back by g's ids
+      def back(r: RunResult): RunResult = r.copy(states = Array.tabulate(g.numVertices)(v => r.states(o.pos(v))))
+      programs.forall { p =>
+        val s  = if (p.sourced) src else -1
+        val sh = if (p.sourced) o.pos(src) else -1
+        same(back(SeqEngine.sync(h, p, sh)), ReferenceSweep.sync(g, p, s)) &&
+          same(back(SeqEngine.async(h, p, id, sh)), ReferenceSweep.async(g, p, o, s, collection.mutable.Buffer.empty)) &&
+          same(back(SparkBlockAsyncEngine.run(spark, h, p, id, sh, numBlocks = 3)), ReferenceSweep.blocks(g, p, o, s, 3))
+      }
+    }, tests = 10)
   }
 }

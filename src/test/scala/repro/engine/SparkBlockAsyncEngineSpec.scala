@@ -74,20 +74,25 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
   test("block construction covers every vertex exactly once") {
     val g = GraphGen.rmat(50, 300, seed = 102)
     val o = VertexOrder.fromOrder(GraphGen.randomPermutation(50, seed = 103))
-    val (ds, _) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, 7)
-    val vids = ds.collect().flatMap(_.vids)
-    assert(vids.sorted.toSeq == (0 until 50))
+    val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, 7)
+    val ids = ds.collect().flatMap(b => b.lo until b.hi)
+    assert(ids.sorted.toSeq == (0 until 50))
+    assert(gp.numVertices == 50)
     ds.unpersist()
   }
 
   test("blocks respect contiguous ordinal ranges") {
     val g = GraphGen.rmat(40, 200, seed = 104)
     val o = VertexOrder.fromOrder(GraphGen.randomPermutation(40, seed = 105))
-    val (ds, _) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, 4)
-    ds.collect().foreach { b =>
-      val positions = b.vids.map(o.pos(_))
-      assert(positions.toSeq == positions.sorted.toSeq, "in-block order must follow ordinals")
-      assert(positions.max - positions.min == positions.length - 1, "ordinals must be contiguous")
+    val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, 4)
+    val bs = ds.collect()
+    assert(bs.map(_.lo).toSeq == 0 +: bs.map(_.hi).init.toSeq, "ranges must be contiguous, in ordinal order")
+    assert(bs.last.hi == 40 && bs.forall(b => b.lo < b.hi))
+    // id i of the graph the blocks cut is the vertex at ordinal i, with its in-list in order
+    def ins(h: DiGraph, v: Int): Seq[Int] = { val b = Seq.newBuilder[Int]; h.foreachIn(v)(b += _); b.result() }
+    (0 until 40).foreach { i =>
+      assert(ins(gp, i) == ins(g, o.order(i)).map(o.pos(_)), s"in-list of ordinal $i")
+      assert(gp.outDegree(i) == g.outDegree(o.order(i)), s"out-degree of ordinal $i")
     }
     ds.unpersist()
   }
@@ -211,8 +216,8 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     assert(persisted == before, "after a converged run")
     assert(!SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = 4, maxRounds = 2).converged)
     assert(persisted == before, "after a run capped by maxRounds")
-    // a block whose in-edge names a vertex past |V|: its task throws in every superstep
-    val broken = spark.createDataset(Seq(Block(Array(0), Array(0, 1), Array(g.numVertices), Array(1.0))))(
+    // a block that reaches past |V|: its task throws in every superstep
+    val broken = spark.createDataset(Seq(Block(0, g.numVertices + 1)))(
       org.apache.spark.sql.Encoders.product[Block]).cache()
     try {
       broken.collect()
@@ -273,7 +278,7 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
       try sc.parallelize(Seq(0), 1).count() finally sc.setLocalProperty(key, null)
       assert(marked.await(60, java.util.concurrent.TimeUnit.SECONDS), "marker job not seen")
       assert(res.converged && res.rounds > 2)
-      assert(jobs.get >= res.rounds && jobs.get <= res.rounds + 2, s"${jobs.get} jobs for ${res.rounds} supersteps")
+      assert(jobs.get == res.rounds, s"${jobs.get} jobs for ${res.rounds} supersteps")
       assert(persisted == before)
     } finally sc.removeSparkListener(listener)
   }

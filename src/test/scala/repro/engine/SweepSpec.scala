@@ -57,11 +57,10 @@ class SweepSpec extends SparkSpec {
         if (p == SSSP || p == BFS) assert(r.states(2).isPosInfinity && r.states(3).isPosInfinity)
       }
       val s      = if (p.sourced) 0 else -1
-      val blk    = Block.of(g, Array.range(0, 4))
       val outDeg = g.outDegrees
       val r      = p.fold.load(SeqEngine.initialStates(p, 4, s), outDeg, p.fold.lane(4, track = true))
       val w      = p.fold.lane(4, track = true)
-      assert(!p.fold.sweep(blk, r, w, outDeg, g, s).maxDelta.isNaN, s"sync ${p.name}")
+      assert(!p.fold.sweep(g, Block(0, 4), r, w, outDeg, s).maxDelta.isNaN, s"sync ${p.name}")
       SeqEngine.async(g, p, DefaultOrder.order(g), s,
         onRound = (k, d, _, _) => assert(!d.isNaN, s"async ${p.name} round $k"))
     }

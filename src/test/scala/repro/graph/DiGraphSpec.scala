@@ -14,11 +14,12 @@ class DiGraphSpec extends SparkSpec {
   }
 
   /** `v`'s in-edges as (source, weight) pairs, in CSR order. */
-  private def inEdges(g: DiGraph, v: Int): Seq[(Int, Double)] = {
-    val adj = new Array[Int](g.inDegree(v)); val wgt = new Array[Double](g.inDegree(v))
-    g.copyIn(v, adj, wgt, 0)
-    adj.toSeq.zip(wgt)
-  }
+  private def inEdges(g: DiGraph, v: Int): Seq[(Int, Double)] =
+    (g.inOff(v) until g.inOff(v + 1)).map(i => (g.inAdj(i), g.inWgt(i)))
+
+  /** `v`'s out-edges as (target, weight) pairs, in CSR order. */
+  private def outEdges(g: DiGraph, v: Int): Seq[(Int, Double)] =
+    g.edges.collect { case (`v`, u, w) => (u, w) }
 
   test("empty graph has zero vertices and edges") {
     val g = DiGraph.unweighted(0, Seq.empty)
@@ -181,6 +182,24 @@ class DiGraphSpec extends SparkSpec {
 
   test("relabel rejects wrong-size permutation") {
     intercept[IllegalArgumentException] { diamond.relabel(Array(0, 1)) }
+  }
+
+  test("relabel keeps every vertex's in-list and out-list in their order") {
+    // in-lists not sorted by source: fromEdges keeps the input order
+    val g    = DiGraph.fromEdges(5, Seq((3, 0, 1.0), (1, 0, 2.0), (4, 0, 3.0), (2, 1, 4.0), (0, 1, 5.0),
+                                        (3, 1, 6.0), (0, 2, 7.0), (4, 2, 8.0), (0, 2, 9.0)))
+    val perm = Array(2, 4, 0, 3, 1)
+    val g2   = g.relabel(perm)
+    (0 until 5).foreach { v =>
+      assert(inEdges(g2, perm(v)) == inEdges(g, v).map { case (u, w) => (perm(u), w) }, s"in-list of $v")
+      assert(outEdges(g2, perm(v)) == outEdges(g, v).map { case (u, w) => (perm(u), w) }, s"out-list of $v")
+    }
+  }
+
+  test("relabel rejects a repeated or out-of-range id") {
+    intercept[IllegalArgumentException] { diamond.relabel(Array(0, 1, 1, 3)) }
+    intercept[IllegalArgumentException] { diamond.relabel(Array(0, 1, 2, 4)) }
+    intercept[IllegalArgumentException] { diamond.relabel(Array(0, 1, -1, 3)) }
   }
 
   test("edgesDF round-trips through fromDF") {
