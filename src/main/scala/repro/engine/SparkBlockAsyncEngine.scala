@@ -8,12 +8,14 @@ import repro.order.VertexOrder
 /** Distributed adaptation of the paper's asynchronous mode (Eq. 2).
   *
   * The graph is relabeled by the processing order (ids = ordinals) and its
-  * ids are cut into `numBlocks` contiguous ranges, one per Spark task. Within
-  * a superstep, each block runs a sequential Gauss–Seidel sweep over its
-  * vertices *in processing order*, reading current-superstep states for
-  * in-block in-neighbors already updated this sweep and previous-superstep
-  * states (broadcast) for everything else. Cross-block states synchronize
-  * once per superstep.
+  * ids are cut into `numBlocks` contiguous ranges. Within a superstep, each
+  * block runs a sequential Gauss–Seidel sweep over its vertices *in
+  * processing order*, reading current-superstep states for in-block
+  * in-neighbors already updated this sweep and previous-superstep states
+  * (broadcast) for everything else. Cross-block states synchronize once per
+  * superstep. A superstep runs one Spark task per executor core, each
+  * sweeping a contiguous run of blocks one after the other; what a block
+  * reads does not depend on which task sweeps it.
   *
   * This interpolates exactly between the paper's two modes — identities
   * verified in tests:
@@ -46,15 +48,16 @@ object SparkBlockAsyncEngine {
     Array.tabulate(nb)(b => Block((b.toLong * n / nb).toInt, ((b + 1).toLong * n / nb).toInt))
   }
 
-  /** The cached block dataset for (graph, order, numBlocks), blocks in
-    * ordinal order, and the graph they are ranges of: `g` relabeled by
-    * `order`. Every program runs on the same blocks, so `prog` is unused; it
+  /** The block dataset for (graph, order, numBlocks), blocks in ordinal
+    * order, and the graph they are ranges of: `g` relabeled by `order`. The
+    * dataset is a local relation, not cached: collecting it runs no Spark
+    * job. Every program runs on the same blocks, so `prog` is unused; it
     * stays in the signature for the benchmark's call.
     */
   def blocks(spark: SparkSession, g: DiGraph, prog: VertexProgram,
              order: VertexOrder, numBlocks: Int): (Dataset[Block], DiGraph) = {
     val h = SeqEngine.inOrder(g, order)
-    (spark.createDataset(cut(h.numVertices, numBlocks).toSeq)(blockEncoder).cache(), h)
+    (spark.createDataset(cut(h.numVertices, numBlocks).toSeq)(blockEncoder), h)
   }
 
   /** Run to convergence; `source` and the returned states are indexed by
@@ -67,8 +70,8 @@ object SparkBlockAsyncEngine {
   }
 
   /** Runs supersteps over a block dataset and graph built by [[blocks]]
-    * until convergence or `maxRounds`. `ds` is collected once and stays
-    * cached for the caller; `source` and the returned states are indexed by
+    * until convergence or `maxRounds`. `ds` is collected once and left as
+    * the caller made it; `source` and the returned states are indexed by
     * the ids of the graph `order` relabeled.
     */
   private[engine] def runOnBlocks(spark: SparkSession, ds: Dataset[Block], g: DiGraph,
@@ -76,44 +79,63 @@ object SparkBlockAsyncEngine {
                                   source: Int, maxRounds: Int): RunResult =
     supersteps(spark, ds.collect(), g, prog, order, source, maxRounds)
 
-  /** The superstep loop over the blocks `bs` of `g`, whose ids are the
-    * ordinals of `order`; `source` and the returned states are indexed by
-    * the ids before relabeling.
+  /** The superstep loop over the blocks `bs` of `g`, contiguous id ranges
+    * in id order, whose ids are the ordinals of `order`; `source` and the
+    * returned states are indexed by the ids before relabeling.
     *
-    * `g` and its out-degrees are broadcast once per run; `bs(b)` is
-    * partition `b` of a plain parallelized RDD, so a task carries two ints.
-    * Each superstep is one job of one task per block: the task sweeps its
-    * block against a private lane loaded with the broadcast states (every
-    * vertex is folded: a task has no dirty flags) and returns the block's
-    * new states with its max |Δx|; the driver copies them into the next
+    * `g` and its out-degrees are broadcast together once per run. The
+    * blocks are dealt into `k = min(#blocks, defaultParallelism)` runs of
+    * consecutive blocks, partition `t` of a plain parallelized RDD holding
+    * run `t`, and each superstep is one job of one task per run. A task
+    * loads the broadcast states into its thread's lane (every vertex is
+    * folded: a task has no dirty flags) and sweeps its blocks in order;
+    * after each block it copies the block's new states out and reloads the
+    * block's range from the broadcast, so the next block reads exactly what
+    * a task of its own would. It returns its run's new states with their
+    * max |Δx| in the last slot; the driver copies them into the next
     * states. The broadcasts are released on return or failure.
     */
   private def supersteps(spark: SparkSession, bs: Array[Block], g: DiGraph, prog: VertexProgram,
                          order: VertexOrder, source: Int, maxRounds: Int): RunResult = {
-    val n     = g.numVertices
-    val s     = SeqEngine.sourceOrdinal(prog, order, source)
-    val sc    = spark.sparkContext
-    val rdd   = sc.parallelize(bs.toSeq, bs.length)
-    val bcG   = sc.broadcast(g)
-    val bcDeg = sc.broadcast(g.outDegrees)
-    val fold  = prog.fold
-    var x     = SeqEngine.initialStates(prog, n, s)
+    val n    = g.numVertices
+    val s    = SeqEngine.sourceOrdinal(prog, order, source)
+    val sc   = spark.sparkContext
+    val k    = math.min(bs.length, sc.defaultParallelism)
+    val runs = Array.tabulate(k)(t => bs.slice(t * bs.length / k, (t + 1) * bs.length / k))
+    val rdd  = sc.parallelize(runs.toSeq, k)
+    val bcG  = sc.broadcast((g, g.outDegrees))
+    val fold = prog.fold
+    var x    = SeqEngine.initialStates(prog, n, s)
     var rounds = 0
     var converged = false
     try {
       while (!converged && rounds < maxRounds) {
         val bcX  = sc.broadcast(x)
-        val next = x.clone()
+        val next = new Array[Double](n)
         var maxDelta = 0.0
-        try sc.runJob(rdd, (_: TaskContext, it: Iterator[Block]) => {
-            val blk  = it.next()
+        try sc.runJob(rdd, (_: TaskContext, it: Iterator[Array[Block]]) => {
+            val run      = it.next()
+            val (h, deg) = bcG.value
+            val x0       = bcX.value
+            val lo       = run.head.lo
+            val out      = new Array[Double](run.last.hi - lo + 1)
             // private lane: in-block vertices read the states updated before them
-            val lane = fold.load(bcX.value, bcDeg.value, laneFor(fold, n))
-            val d    = fold.sweep(bcG.value, blk, lane, lane, bcDeg.value, s).maxDelta
-            (java.util.Arrays.copyOfRange(lane.x, blk.lo, blk.hi), d)
-          }, bs.indices, (b: Int, r: (Array[Double], Double)) => {
-            System.arraycopy(r._1, 0, next, bs(b).lo, r._1.length)
-            if (r._2 > maxDelta) maxDelta = r._2
+            val lane = fold.load(x0, deg, laneFor(fold, n))
+            var d    = 0.0
+            var i    = 0
+            while (i < run.length) {
+              val blk = run(i)
+              val bd  = fold.sweep(h, blk, lane, lane, deg, s).maxDelta
+              if (bd > d) d = bd
+              System.arraycopy(lane.x, blk.lo, out, blk.lo - lo, blk.hi - blk.lo)
+              i += 1
+              if (i < run.length) fold.load(x0, deg, lane, blk.lo, blk.hi)
+            }
+            out(out.length - 1) = d
+            out
+          }, runs.indices, (t: Int, r: Array[Double]) => {
+            System.arraycopy(r, 0, next, runs(t).head.lo, r.length - 1)
+            if (r(r.length - 1) > maxDelta) maxDelta = r(r.length - 1)
           })
         finally bcX.destroy()
         x = next
@@ -121,9 +143,6 @@ object SparkBlockAsyncEngine {
         converged = maxDelta <= prog.tol
       }
       RunResult(SeqEngine.byId(order, x), rounds, converged)
-    } finally {
-      bcDeg.destroy()
-      bcG.destroy()
-    }
+    } finally bcG.destroy()
   }
 }

@@ -42,7 +42,11 @@ sealed abstract class Fold extends Serializable {
     * the next sweep starts from them: copies them, fills the emitted array
     * from the copy and sets every dirty flag. Returns `l`.
     */
-  private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane): Lane
+  private[engine] final def load(x0: Array[Double], outDeg: Array[Int], l: Lane): Lane =
+    load(x0, outDeg, l, 0, x0.length)
+
+  /** [[load]] of the vertices `lo until hi` only; the rest of `l` is kept. */
+  private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane, lo: Int, hi: Int): Lane
 
   /** One sweep over `g`'s vertices `blk.lo until blk.hi` in id order: each
     * vertex folds its in-edges from `r` and writes its new state (and what
@@ -64,10 +68,10 @@ object Fold {
 
     private[engine] def lane(n: Int, track: Boolean): Lane = new Lane(new Array[Double](n), new Array[Double](n), null)
 
-    private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane): Lane = {
+    private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane, lo: Int, hi: Int): Lane = {
       val x = l.x; val y = l.y
-      var v = 0
-      while (v < x.length) { val s = x0(v); x(v) = s; y(v) = s / outDeg(v); v += 1 }
+      var v = lo
+      while (v < hi) { val s = x0(v); x(v) = s; y(v) = s / outDeg(v); v += 1 }
       l
     }
 
@@ -112,9 +116,9 @@ object Fold {
     private[engine] def lane(n: Int, track: Boolean): Lane =
       new Lane(new Array[Double](n), null, if (track) new Array[Boolean](n) else null)
 
-    private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane): Lane = {
-      System.arraycopy(x0, 0, l.x, 0, x0.length)
-      if (l.dirty != null) java.util.Arrays.fill(l.dirty, true)
+    private[engine] def load(x0: Array[Double], outDeg: Array[Int], l: Lane, lo: Int, hi: Int): Lane = {
+      System.arraycopy(x0, lo, l.x, lo, hi - lo)
+      if (l.dirty != null) java.util.Arrays.fill(l.dirty, lo, hi, true)
       l
     }
 

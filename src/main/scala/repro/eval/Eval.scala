@@ -82,11 +82,13 @@ object Eval {
   def tableII(g: DiGraph, methods: Seq[Reorder] = Orders.competitors,
               algos: Seq[VertexProgram] = algorithms): Seq[TableIIRow] = {
     val source = defaultSource(g)
+    val id     = repro.order.VertexOrder.identity(g.numVertices)
     methods.map { r =>
-      val o = r.order(g)
+      val o        = r.order(g)
+      val (g2, s2) = relabeled(g, o, source)
       val rounds = algos.map { prog =>
-        val src = if (prog.sourced) source else -1
-        prog.name -> converged(SeqEngine.async(g, prog, o, src), s"${r.name} ${prog.name}").rounds
+        val src = if (prog.sourced) s2 else -1
+        prog.name -> converged(SeqEngine.async(g2, prog, id, src), s"${r.name} ${prog.name}").rounds
       }.toMap
       TableIIRow(r.name, Metric.positiveEdges(g, o), Metric.ratio(g, o), rounds)
     }

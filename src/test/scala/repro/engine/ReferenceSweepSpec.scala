@@ -94,6 +94,19 @@ class ReferenceSweepSpec extends SparkSpec {
     }, tests = 8)
   }
 
+  test("property: blocks at p + 1 and 2p − 1, p the default parallelism, equal the reference supersteps bit for bit") {
+    // more blocks than tasks, so tasks sweep runs of unequal length
+    val p = spark.sparkContext.defaultParallelism
+    check(Prop.forAll(genCase) { case (g, o, src) =>
+      programs.forall { prog =>
+        val s = if (prog.sourced) src else -1
+        Seq(p + 1, 2 * p - 1).forall { nb =>
+          same(SparkBlockAsyncEngine.run(spark, g, prog, o, s, numBlocks = nb), ReferenceSweep.blocks(g, prog, o, s, nb))
+        }
+      }
+    }, tests = 8)
+  }
+
   test("property: relabeling is a pure renaming: runs on g.relabel(o.pos) in id order equal the reference on g in o") {
     check(Prop.forAll(genRenaming) { case (g, o, src) =>
       val h  = g.relabel(o.pos)

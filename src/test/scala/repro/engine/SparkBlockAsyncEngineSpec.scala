@@ -78,7 +78,6 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     val ids = ds.collect().flatMap(b => b.lo until b.hi)
     assert(ids.sorted.toSeq == (0 until 50))
     assert(gp.numVertices == 50)
-    ds.unpersist()
   }
 
   test("blocks respect contiguous ordinal ranges") {
@@ -94,7 +93,6 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
       assert(ins(gp, i) == ins(g, o.order(i)).map(o.pos(_)), s"in-list of ordinal $i")
       assert(gp.outDegree(i) == g.outDegree(o.order(i)), s"out-degree of ordinal $i")
     }
-    ds.unpersist()
   }
 
   /** Raw bit patterns, so that equal means identical doubles. */
@@ -200,9 +198,8 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     val o = VertexOrder.fromOrder(GraphGen.randomPermutation(40, seed = 117))
     Seq(1, 4, 8, 16, g.numVertices).foreach { nb =>
       val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, nb)
-      try assertSameRun(SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, PageRank, o, -1, 100000),
+      assertSameRun(SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, PageRank, o, -1, 100000),
         SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = nb), s"blocks=$nb")
-      finally ds.unpersist()
     }
   }
 
@@ -234,6 +231,7 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     val g = GraphGen.rmat(60, 360, seed = 114)
     val o = VertexOrder.fromOrder(GraphGen.randomPermutation(60, seed = 115))
     val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, 4)
+    ds.cache()
     try {
       val first     = SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, PageRank, o, -1, 100000)
       val afterOne  = persisted
@@ -252,8 +250,7 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     for (prog <- Seq[VertexProgram](SSSP, BFS, PHP); s <- Seq(-1, g.numVertices))
       intercept[IllegalArgumentException](SparkBlockAsyncEngine.run(spark, g, prog, o, s, numBlocks = 4))
     val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, SSSP, o, 4)
-    try intercept[IllegalArgumentException](SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, SSSP, o, -1, 100000))
-    finally ds.unpersist()
+    intercept[IllegalArgumentException](SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, SSSP, o, -1, 100000))
     assert(persisted == before)
   }
 
@@ -262,24 +259,32 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     val g   = GraphGen.rmat(2000, 12000, seed = 116)
     val o   = DefaultOrder.order(g)
     val key = "repro.test.marker"
-    val jobs   = new java.util.concurrent.atomic.AtomicInteger
-    val marked = new java.util.concurrent.CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (e.properties != null && e.properties.getProperty(key) != null) marked.countDown()
-        else jobs.incrementAndGet()
-    }
     val before = persisted
-    sc.addSparkListener(listener)
-    try {
-      val res = SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = 4)
-      // events reach a listener in order: once the marker job is seen, so are the run's jobs
-      sc.setLocalProperty(key, "1")
-      try sc.parallelize(Seq(0), 1).count() finally sc.setLocalProperty(key, null)
-      assert(marked.await(60, java.util.concurrent.TimeUnit.SECONDS), "marker job not seen")
-      assert(res.converged && res.rounds > 2)
-      assert(jobs.get == res.rounds, s"${jobs.get} jobs for ${res.rounds} supersteps")
-      assert(persisted == before)
-    } finally sc.removeSparkListener(listener)
+    /** `run` converges in more than 2 supersteps and launches one job for each. */
+    def oneJobPerSuperstep(label: String)(run: => RunResult): Unit = {
+      val jobs   = new java.util.concurrent.atomic.AtomicInteger
+      val marked = new java.util.concurrent.CountDownLatch(1)
+      val listener = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit =
+          if (e.properties != null && e.properties.getProperty(key) != null) marked.countDown()
+          else jobs.incrementAndGet()
+      }
+      sc.addSparkListener(listener)
+      try {
+        val res = run
+        // events reach a listener in order: once the marker job is seen, so are the run's jobs
+        sc.setLocalProperty(key, "1")
+        try sc.parallelize(Seq(0), 1).count() finally sc.setLocalProperty(key, null)
+        assert(marked.await(60, java.util.concurrent.TimeUnit.SECONDS), "marker job not seen")
+        assert(res.converged && res.rounds > 2, label)
+        assert(jobs.get == res.rounds, s"$label: ${jobs.get} jobs for ${res.rounds} supersteps")
+        assert(persisted == before, label)
+      } finally sc.removeSparkListener(listener)
+    }
+    oneJobPerSuperstep("run at 4 blocks")(SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = 4))
+    oneJobPerSuperstep("runOnBlocks over blocks(…, 8)") {
+      val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, 8)
+      SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, PageRank, o, -1, 100000)
+    }
   }
 }
