@@ -24,15 +24,16 @@ class AsyncImpactBench extends SparkSpec {
 
   test("Fig 8 shape: rounds order sync >= asyncDefault >= asyncGoGraph") {
     rows.foreach { r =>
-      assert(r.syncDef.rounds >= r.asyncDef.rounds,
-        s"${r.dataset}/${r.algo}: sync ${r.syncDef.rounds} < asyncDef ${r.asyncDef.rounds}")
-      assert(r.asyncDef.rounds >= r.asyncGo.rounds,
-        s"${r.dataset}/${r.algo}: asyncDef ${r.asyncDef.rounds} < asyncGo ${r.asyncGo.rounds}")
+      val (sync, asyncDef, asyncGo) =
+        (r.cells("Sync+Def").rounds, r.cells("Async+Def").rounds, r.cells("Async+GoGraph").rounds)
+      assert(sync >= asyncDef, s"${r.graph}/${r.algo}: sync $sync < asyncDef $asyncDef")
+      assert(asyncDef >= asyncGo, s"${r.graph}/${r.algo}: asyncDef $asyncDef < asyncGo $asyncGo")
     }
   }
 
   test("Fig 8 shape: Async+GoGraph achieves a mean speedup over Sync+Default") {
-    val speedups = rows.map(r => r.syncDef.runtimeMs / math.max(1e-9, r.asyncGo.runtimeMs))
+    val speedups = rows.map(r =>
+      r.cells("Sync+Def").runtimeMs / math.max(1e-9, r.cells("Async+GoGraph").runtimeMs))
     val geo = math.exp(speedups.map(math.log).sum / speedups.size)
     println(f"Geo-mean Async+GoGraph speedup over Sync+Default: $geo%.2fx (paper mean 3.04x)")
     assert(geo > 1.3, s"expected a clear speedup, got ${geo}x")

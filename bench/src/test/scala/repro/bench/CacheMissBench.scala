@@ -20,14 +20,14 @@ class CacheMissBench extends AnyFunSuite {
 
   test("Fig 9 shape: GoGraph misses less than Default on every graph") {
     rows.foreach { r =>
-      assert(r.misses("GoGraph") < r.misses("Default"),
-        s"${r.dataset}: GoGraph ${r.misses("GoGraph")} >= Default ${r.misses("Default")}")
+      assert(r.cells("GoGraph") < r.cells("Default"),
+        s"${r.graph}: GoGraph ${r.cells("GoGraph")} >= Default ${r.cells("Default")}")
     }
   }
 
   test("Fig 9 shape: locality-aware methods (Rabbit/Gorder/GoGraph) beat degree-only sorts on average") {
     def geo(m: String): Double =
-      math.exp(rows.map(r => math.log(r.misses(m).toDouble)).sum / rows.size)
+      math.exp(rows.map(r => math.log(r.cells(m).toDouble)).sum / rows.size)
     val locality = Seq("Rabbit", "Gorder", "GoGraph").map(geo).min
     val degreeOnly = Seq("DegSort", "HubSort", "HubCluster").map(geo).min
     assert(locality < degreeOnly,
@@ -37,7 +37,8 @@ class CacheMissBench extends AnyFunSuite {
   test("Fig 10: partitioning phase reduces GoGraph's cache misses") {
     val part = Eval.partitionCacheImpact(GraphGen.datasetNames, GraphGen.dataset)
     println(Eval.renderPartitionCacheImpact(part))
-    val reductions = part.map(r => 1.0 - r.withPart.toDouble / math.max(1L, r.withoutPart))
+    val reductions = part.map(r =>
+      1.0 - r.cells("with partition").toDouble / math.max(1L, r.cells("without partition")))
     val mean = reductions.sum / reductions.size
     println(f"Mean cache-miss reduction from partitioning: ${mean * 100}%.0f%% (paper 33%%)")
     assert(mean > 0.0, s"partitioning should reduce misses on average, got ${mean * 100}%")

@@ -21,7 +21,7 @@ class OverallPerfBench extends AnyFunSuite {
   test("Fig 5/6 shape: GoGraph rounds never exceed Default's anywhere") {
     rows.foreach { r =>
       assert(r.cells("GoGraph").rounds <= r.cells("Default").rounds,
-        s"${r.dataset}/${r.algo}: GoGraph ${r.cells("GoGraph").rounds} > " +
+        s"${r.graph}/${r.algo}: GoGraph ${r.cells("GoGraph").rounds} > " +
           s"Default ${r.cells("Default").rounds}")
     }
   }

@@ -24,7 +24,7 @@ class PartitionMethodsBench extends AnyFunSuite {
       val rabbit = r.cells("Rabbit").rounds
       r.cells.foreach { case (name, cell) =>
         assert(cell.rounds <= 2 * rabbit + 5,
-          s"${r.dataset}/$name: ${cell.rounds} rounds vs Rabbit $rabbit — divide phase broke ordering")
+          s"${r.graph}/$name: ${cell.rounds} rounds vs Rabbit $rabbit — divide phase broke ordering")
       }
     }
   }
@@ -33,7 +33,7 @@ class PartitionMethodsBench extends AnyFunSuite {
     rows.foreach { r =>
       val best = math.min(r.cells("Rabbit").rounds, r.cells("Louvain").rounds)
       assert(best <= r.cells("Fennel").rounds + 2,
-        s"${r.dataset}: community partitioners should not lose to streaming Fennel")
+        s"${r.graph}: community partitioners should not lose to streaming Fennel")
     }
   }
 }

@@ -64,7 +64,7 @@ object SparkBlockAsyncEngine {
     * `g`'s ids.
     */
   def run(spark: SparkSession, g: DiGraph, prog: VertexProgram, order: VertexOrder,
-          source: Int = -1, numBlocks: Int = 16, maxRounds: Int = 100000): RunResult = {
+          source: Int = -1, numBlocks: Int, maxRounds: Int = 100000): RunResult = {
     val h = SeqEngine.inOrder(g, order)
     supersteps(spark, cut(h.numVertices, numBlocks), h, prog, order, source, maxRounds)
   }

@@ -82,13 +82,11 @@ object Eval {
   def tableII(g: DiGraph, methods: Seq[Reorder] = Orders.competitors,
               algos: Seq[VertexProgram] = algorithms): Seq[TableIIRow] = {
     val source = defaultSource(g)
-    val id     = repro.order.VertexOrder.identity(g.numVertices)
     methods.map { r =>
-      val o        = r.order(g)
-      val (g2, s2) = relabeled(g, o, source)
+      val o   = r.order(g)
+      val run = relabeled(g, o)
       val rounds = algos.map { prog =>
-        val src = if (prog.sourced) s2 else -1
-        prog.name -> converged(SeqEngine.async(g2, prog, id, src), s"${r.name} ${prog.name}").rounds
+        prog.name -> converged(run(prog, if (prog.sourced) source else -1), s"${r.name} ${prog.name}").rounds
       }.toMap
       TableIIRow(r.name, Metric.positiveEdges(g, o), Metric.ratio(g, o), rounds)
     }
@@ -103,20 +101,57 @@ object Eval {
           algos.map(a => r.rounds(a.name).toString)),
     )
 
-  // ------------------------------------------------------------------
-  // Fig 5/6 as a table — normalized async runtime & rounds per method
-  // ------------------------------------------------------------------
-
-  final case class PerfCell(runtimeMs: Double, rounds: Int)
-  final case class PerfRow(dataset: String, algo: String, cells: Map[String, PerfCell])
-
   /** A reordering is a *relabeling*: the reordered graph is stored with new
     * vertex ids = ordinal numbers, so the state array layout follows the
     * processing order (this is where the cache benefit comes from — the
-    * paper's Fig 9 discussion). Returns (relabeled graph, relabeled source).
+    * paper's Fig 9 discussion). Relabels `g` by `o` once and returns the
+    * async run of a program on the copy under the identity order, from a
+    * source in `g`'s ids (-1 for none).
     */
-  private def relabeled(g: DiGraph, o: repro.order.VertexOrder, source: Int): (DiGraph, Int) =
-    (g.relabel(o.pos), if (source >= 0) o.pos(source) else -1)
+  private def relabeled(g: DiGraph, o: VertexOrder): (VertexProgram, Int) => RunResult = {
+    val h  = g.relabel(o.pos)
+    val id = VertexOrder.identity(h.numVertices)
+    (prog, source) => SeqEngine.async(h, prog, id, if (source >= 0) o.pos(source) else -1)
+  }
+
+  // ------------------------------------------------------------------
+  // The figure grids: a row per graph (and program), a cell per column
+  // ------------------------------------------------------------------
+
+  /** A row of a figure: its graph (a dataset, or Fig 12's average degree),
+    * its program ("" in the cache grid) and one cell per column name.
+    */
+  final case class Row[C](graph: String, algo: String, cells: Map[String, C])
+
+  /** Prints grid rows: the `labels` headers over each row's graph and, given
+    * a second label, its program; then each column's value, divided by the
+    * `base` column's (`%.2f`) or raw (`%.0f`) without one, and its `note`;
+    * then the `extra` columns.
+    */
+  def renderGrid[C](title: String, labels: Seq[String], columns: Seq[String], base: Option[String],
+                    rows: Seq[Row[C]])(value: C => Double, note: C => String,
+                                       extra: (String, Row[C] => String)*): String =
+    TableFmt.render(title, labels ++ columns ++ extra.map(_._1), rows.map { r =>
+      Seq(r.graph, r.algo).take(labels.size) ++ columns.map { m =>
+        val x = value(r.cells(m))
+        base.fold(f"$x%.0f")(b => f"${x / math.max(1e-9, value(r.cells(b)))}%.2f") + note(r.cells(m))
+      } ++ extra.map(_._2(r))
+    })
+
+  // ------------------------------------------------------------------
+  // Figs 5/6, 8, 12 and 13 as tables — the timed grid
+  // ------------------------------------------------------------------
+
+  final case class PerfCell(runtimeMs: Double, rounds: Int)
+
+  /** A column of the timed grid: `prepare` readies a graph once and returns
+    * the run of a program on it from a source in the graph's ids (-1 for
+    * none).
+    */
+  final case class Column(name: String, prepare: DiGraph => (VertexProgram, Int) => RunResult)
+
+  /** Orders the graph by `r`, relabels it and runs async on the copy. */
+  def reorderColumn(name: String, r: Reorder): Column = Column(name, g => relabeled(g, r.order(g)))
 
   /** Runs per timed cell, after one untimed warm-up run. */
   val timedRuns = 5
@@ -135,84 +170,79 @@ object Eval {
     cells.sortBy(_.runtimeMs).apply(timedRuns / 2)
   }
 
-  /** Time async runs on the relabeled graph (identity processing order). */
-  private def timedAsync(g: DiGraph, prog: VertexProgram, src: Int): PerfCell = {
-    val idOrder = repro.order.VertexOrder.identity(g.numVertices)
-    timed(s"async ${prog.name}")(SeqEngine.async(g, prog, idOrder, src))
-  }
+  /** For each graph of `names`, loaded in turn, each column prepares it
+    * once and times every program of `progs` on it; sourced programs start
+    * at [[defaultSource]]. A column's prepared graph is dropped before the
+    * next column prepares its own, so at most one relabeled copy is
+    * reachable at a time. One row per graph and program.
+    */
+  def timedGrid(names: Seq[String], load: String => DiGraph, columns: Seq[Column],
+                progs: Seq[VertexProgram]): Seq[Row[PerfCell]] =
+    names.flatMap { name =>
+      val g           = load(name)
+      lazy val source = defaultSource(g)
+      val byColumn = columns.map { c =>
+        val run = c.prepare(g)
+        progs.map(p => timed(s"$name ${c.name} ${p.name}")(run(p, if (p.sourced) source else -1)))
+      }
+      progs.indices.map(i => Row(name, progs(i).name, columns.map(_.name).zip(byColumn.map(_(i))).toMap))
+    }
 
+  private def renderTimed(title: String, labels: Seq[String], columns: Seq[String], base: Option[String],
+                          rows: Seq[Row[PerfCell]], extra: (String, Row[PerfCell] => String)*): String =
+    renderGrid(title, labels, columns, base, rows)(_.runtimeMs, c => s" (${c.rounds})", extra: _*)
+
+  private def reorderColumns(methods: Seq[Reorder]): Seq[Column] = methods.map(r => reorderColumn(r.name, r))
+
+  /** Fig 5/6: normalized async runtime and rounds per reorder method. */
   def overallPerf(datasets: Seq[String], load: String => DiGraph,
                   methods: Seq[Reorder] = Orders.competitors,
-                  algos: Seq[VertexProgram] = algorithms): Seq[PerfRow] =
-    datasets.flatMap { name =>
-      val g      = load(name)
-      val source = defaultSource(g)
-      val byMethod = methods.map { r =>
-        val (g2, s2) = relabeled(g, r.order(g), source)
-        (r.name, g2, s2)
-      }
-      algos.map { prog =>
-        val cells = byMethod.map { case (mName, g2, s2) =>
-          mName -> timedAsync(g2, prog, if (prog.sourced) s2 else -1)
-        }.toMap
-        PerfRow(name, prog.name, cells)
-      }
-    }
+                  algos: Seq[VertexProgram] = algorithms): Seq[Row[PerfCell]] =
+    timedGrid(datasets, load, reorderColumns(methods), algos)
 
-  def renderOverallPerf(rows: Seq[PerfRow], methods: Seq[Reorder] = Orders.competitors): String = {
-    val names = methods.map(_.name)
-    TableFmt.render(
-      "Fig 5/6 (as table): normalized async runtime (rounds) vs Default",
-      Seq("Dataset", "Algo") ++ names,
-      rows.map { r =>
-        val base = r.cells("Default")
-        Seq(r.dataset, r.algo) ++ names.map { m =>
-          val c = r.cells(m)
-          f"${c.runtimeMs / math.max(1e-9, base.runtimeMs)}%.2f (${c.rounds})"
-        }
-      },
-    )
-  }
+  def renderOverallPerf(rows: Seq[Row[PerfCell]], methods: Seq[Reorder] = Orders.competitors): String =
+    renderTimed("Fig 5/6 (as table): normalized async runtime (rounds) vs Default",
+      Seq("Dataset", "Algo"), methods.map(_.name), Some("Default"), rows)
 
-  // ------------------------------------------------------------------
-  // Fig 8 as a table — Sync+Def vs Async+Def vs Async+GoGraph
-  // ------------------------------------------------------------------
-
-  final case class AsyncImpactRow(dataset: String, algo: String,
-                                  syncDef: PerfCell, asyncDef: PerfCell, asyncGo: PerfCell)
+  /** Fig 8: sync on the graph as given vs async under Default and GoGraph. */
+  private val asyncImpactColumns = Seq(Column("Sync+Def", g => SeqEngine.sync(g, _, _)),
+    reorderColumn("Async+Def", DefaultOrder), reorderColumn("Async+GoGraph", GoGraph))
 
   def asyncImpact(datasets: Seq[String], load: String => DiGraph,
-                  algos: Seq[VertexProgram] = Seq(PageRank, SSSP)): Seq[AsyncImpactRow] =
-    datasets.flatMap { name =>
-      val g            = load(name)
-      val source       = defaultSource(g)
-      val (gGo, srcGo) = relabeled(g, GoGraph.order(g), source)
-      algos.map { prog =>
-        val src = if (prog.sourced) source else -1
-        AsyncImpactRow(name, prog.name,
-          timed(s"$name sync ${prog.name}")(SeqEngine.sync(g, prog, src)),
-          timedAsync(g, prog, src), // default order = identity layout
-          timedAsync(gGo, prog, if (prog.sourced) srcGo else -1))
-      }
-    }
+                  algos: Seq[VertexProgram] = Seq(PageRank, SSSP)): Seq[Row[PerfCell]] =
+    timedGrid(datasets, load, asyncImpactColumns, algos)
 
-  def renderAsyncImpact(rows: Seq[AsyncImpactRow]): String =
-    TableFmt.render(
-      "Fig 8 (as table): update mode × order, normalized runtime (rounds)",
-      Seq("Dataset", "Algo", "Sync+Def", "Async+Def", "Async+GoGraph", "speedup"),
-      rows.map { r =>
-        val b = r.syncDef.runtimeMs
-        def cell(c: PerfCell) = f"${c.runtimeMs / math.max(1e-9, b)}%.2f (${c.rounds})"
-        Seq(r.dataset, r.algo, cell(r.syncDef), cell(r.asyncDef), cell(r.asyncGo),
-          f"${b / math.max(1e-9, r.asyncGo.runtimeMs)}%.2fx")
-      },
-    )
+  def renderAsyncImpact(rows: Seq[Row[PerfCell]]): String =
+    renderTimed("Fig 8 (as table): update mode × order, normalized runtime (rounds)",
+      Seq("Dataset", "Algo"), asyncImpactColumns.map(_.name), Some("Sync+Def"), rows,
+      ("speedup", r => f"${r.cells("Sync+Def").runtimeMs / math.max(1e-9, r.cells("Async+GoGraph").runtimeMs)}%.2fx"))
+
+  /** Fig 12: PageRank on Barabási–Albert graphs, one per average degree. */
+  def avgDegreeSweep(n: Int, degs: Seq[Int] = Seq(2, 4, 6, 8),
+                     methods: Seq[Reorder] = Orders.competitors): Seq[Row[PerfCell]] =
+    // pForward=0.5 models the paper's undirected NetworkX BA graphs:
+    // default order already at M/|E| = 0.5 but still improvable
+    timedGrid(degs.map(_.toString), d => GraphGen.barabasiAlbert(n, d.toInt, seed = 1000 + d.toInt, pForward = 0.5),
+      reorderColumns(methods), Seq(PageRank))
+
+  def renderAvgDegree(rows: Seq[Row[PerfCell]], methods: Seq[Reorder] = Orders.competitors): String =
+    renderTimed("Fig 12 (as table): PageRank on BA graphs, runtime ms (rounds)",
+      Seq("avg deg"), methods.map(_.name), None, rows)
+
+  /** Fig 13: GoGraph under each divide-phase partitioner. */
+  def partitionerNames: Seq[Partitioner] = Seq(RabbitPartition, MetisLike, Louvain, Fennel)
+
+  def partitionMethods(datasets: Seq[String], load: String => DiGraph): Seq[Row[PerfCell]] =
+    timedGrid(datasets, load, partitionerNames.map(p =>
+      reorderColumn(p.name, new GoGraphReorder(GoGraphConfig(partitioner = p)))), Seq(PageRank))
+
+  def renderPartitionMethods(rows: Seq[Row[PerfCell]]): String =
+    renderTimed("Fig 13 (as table): GoGraph divide-phase partitioner, PageRank runtime normalized to Rabbit (rounds)",
+      Seq("Dataset"), partitionerNames.map(_.name), Some("Rabbit"), rows)
 
   // ------------------------------------------------------------------
-  // Fig 9/10 as tables — simulated cache misses
+  // Figs 9 and 10 as tables — the cache grid
   // ------------------------------------------------------------------
-
-  final case class CacheRow(dataset: String, misses: Map[String, Long])
 
   /** Simulated cache sized well below the vertex-state working set — the
     * paper's graphs are orders of magnitude larger than an L2 slice, and
@@ -223,114 +253,41 @@ object Eval {
   val benchCache: repro.cache.CacheConfig =
     repro.cache.CacheConfig(numSets = 64, ways = 4)
 
-  def cacheMiss(datasets: Seq[String], load: String => DiGraph,
-                methods: Seq[Reorder] = Orders.competitors): Seq[CacheRow] =
-    datasets.map { name =>
+  /** For each graph of `names`, loaded in turn, the simulated misses of one
+    * sweep in each named column's order. One row per graph.
+    */
+  def cacheGrid(names: Seq[String], load: String => DiGraph, columns: Seq[(String, Reorder)]): Seq[Row[Long]] =
+    names.map { name =>
       val g = load(name)
-      CacheRow(name, methods.map { r =>
-        r.name -> repro.cache.CacheSim.sweep(g, r.order(g), benchCache).misses
-      }.toMap)
+      Row(name, "", columns.map { case (c, r) => c -> repro.cache.CacheSim.sweep(g, r.order(g), benchCache).misses }.toMap)
     }
 
-  def renderCacheMiss(rows: Seq[CacheRow], methods: Seq[Reorder] = Orders.competitors): String = {
-    val names = methods.map(_.name)
-    TableFmt.render(
-      "Fig 9 (as table): simulated cache misses per sweep (normalized to Default)",
-      Seq("Dataset") ++ names,
-      rows.map { r =>
-        val base = r.misses("Default").toDouble
-        Seq(r.dataset) ++ names.map(m => f"${r.misses(m) / math.max(1.0, base)}%.2f")
-      },
-    )
-  }
+  /** Fig 9: misses per reorder method. */
+  def cacheMiss(datasets: Seq[String], load: String => DiGraph,
+                methods: Seq[Reorder] = Orders.competitors): Seq[Row[Long]] =
+    cacheGrid(datasets, load, methods.map(r => r.name -> r))
 
-  /** Fig 10: GoGraph with vs without the divide (partitioning) phase. */
-  final case class PartitionCacheRow(dataset: String, withPart: Long, withoutPart: Long)
+  def renderCacheMiss(rows: Seq[Row[Long]], methods: Seq[Reorder] = Orders.competitors): String =
+    renderGrid("Fig 9 (as table): simulated cache misses per sweep (normalized to Default)",
+      Seq("Dataset"), methods.map(_.name), Some("Default"), rows)(_.toDouble, _ => "")
 
-  def partitionCacheImpact(datasets: Seq[String], load: String => DiGraph): Seq[PartitionCacheRow] = {
-    // "without partitioning": one giant subgraph (divide phase disabled)
-    val noPart = new GoGraphReorder(GoGraphConfig(partitioner = new Partitioner {
+  /** Fig 10: GoGraph with vs without the divide phase; "without" runs the
+    * "None" divide, one part holding every vertex.
+    */
+  private val partitionColumns = Seq(
+    "with partition"    -> GoGraph,
+    "without partition" -> new GoGraphReorder(GoGraphConfig(partitioner = new Partitioner {
       val name = "None"
       def partition(g: DiGraph, k: Int): Array[Int] = new Array[Int](g.numVertices)
-    }))
-    datasets.map { name =>
-      val g = load(name)
-      PartitionCacheRow(name,
-        repro.cache.CacheSim.sweep(g, GoGraph.order(g), benchCache).misses,
-        repro.cache.CacheSim.sweep(g, noPart.order(g), benchCache).misses)
-    }
-  }
+    })))
 
-  def renderPartitionCacheImpact(rows: Seq[PartitionCacheRow]): String =
-    TableFmt.render(
-      "Fig 10 (as table): cache misses, GoGraph with vs without partitioning",
-      Seq("Dataset", "with partition", "without partition", "reduction"),
-      rows.map(r => Seq(r.dataset, r.withPart.toString, r.withoutPart.toString,
-        f"${100 * (1.0 - r.withPart.toDouble / math.max(1L, r.withoutPart))}%.1f%%")),
-    )
+  def partitionCacheImpact(datasets: Seq[String], load: String => DiGraph): Seq[Row[Long]] =
+    cacheGrid(datasets, load, partitionColumns)
 
-  // ------------------------------------------------------------------
-  // Fig 12 as a table — Barabási–Albert average-degree sweep (PageRank)
-  // ------------------------------------------------------------------
-
-  final case class AvgDegRow(avgDeg: Int, cells: Map[String, PerfCell])
-
-  def avgDegreeSweep(n: Int, degs: Seq[Int] = Seq(2, 4, 6, 8),
-                     methods: Seq[Reorder] = Orders.competitors): Seq[AvgDegRow] =
-    degs.map { d =>
-      // pForward=0.5 models the paper's undirected NetworkX BA graphs:
-      // default order already at M/|E| = 0.5 but still improvable
-      val g = GraphGen.barabasiAlbert(n, d, seed = 1000 + d, pForward = 0.5)
-      val cells = methods.map { r =>
-        val (g2, _) = relabeled(g, r.order(g), -1)
-        r.name -> timedAsync(g2, PageRank, -1)
-      }.toMap
-      AvgDegRow(d, cells)
-    }
-
-  def renderAvgDegree(rows: Seq[AvgDegRow], methods: Seq[Reorder] = Orders.competitors): String = {
-    val names = methods.map(_.name)
-    TableFmt.render(
-      "Fig 12 (as table): PageRank on BA graphs, runtime ms (rounds)",
-      Seq("avg deg") ++ names,
-      rows.map(r => Seq(r.avgDeg.toString) ++
-        names.map { m => val c = r.cells(m); f"${c.runtimeMs}%.0f (${c.rounds})" }),
-    )
-  }
-
-  // ------------------------------------------------------------------
-  // Fig 13 as a table — GoGraph with different divide-phase partitioners
-  // ------------------------------------------------------------------
-
-  final case class PartMethodRow(dataset: String, cells: Map[String, PerfCell])
-
-  def partitionerNames: Seq[Partitioner] = Seq(RabbitPartition, MetisLike, Louvain, Fennel)
-
-  def partitionMethods(datasets: Seq[String], load: String => DiGraph): Seq[PartMethodRow] =
-    datasets.map { name =>
-      val g = load(name)
-      val cells = partitionerNames.map { p =>
-        val o       = new GoGraphReorder(GoGraphConfig(partitioner = p)).order(g)
-        val (g2, _) = relabeled(g, o, -1)
-        p.name -> timedAsync(g2, PageRank, -1)
-      }.toMap
-      PartMethodRow(name, cells)
-    }
-
-  def renderPartitionMethods(rows: Seq[PartMethodRow]): String = {
-    val names = partitionerNames.map(_.name)
-    TableFmt.render(
-      "Fig 13 (as table): GoGraph divide-phase partitioner, PageRank runtime normalized to Rabbit (rounds)",
-      Seq("Dataset") ++ names,
-      rows.map { r =>
-        val base = r.cells("Rabbit").runtimeMs
-        Seq(r.dataset) ++ names.map { m =>
-          val c = r.cells(m)
-          f"${c.runtimeMs / math.max(1e-9, base)}%.2f (${c.rounds})"
-        }
-      },
-    )
-  }
+  def renderPartitionCacheImpact(rows: Seq[Row[Long]]): String =
+    renderGrid("Fig 10 (as table): cache misses, GoGraph with vs without partitioning",
+      Seq("Dataset"), partitionColumns.map(_._1), None, rows)(_.toDouble, _ => "",
+      ("reduction", r => f"${100 * (1.0 - r.cells("with partition").toDouble / math.max(1L, r.cells("without partition")))}%.1f%%"))
 
   // ------------------------------------------------------------------
   // Fig 7 as a table — convergence distance over rounds

@@ -203,6 +203,19 @@ class SparkBlockAsyncEngineSpec extends SparkSpec {
     }
   }
 
+  test("the empty graph converges in 1 round with no states through run and runOnBlocks, at 1 and 8 blocks") {
+    val g = DiGraph.unweighted(0, Seq.empty)
+    val o = DefaultOrder.order(g)
+    val async = SeqEngine.async(g, PageRank, o)
+    assert(async.converged && async.rounds == 1 && async.states.isEmpty)
+    Seq(1, 8).foreach { nb =>
+      val (ds, gp) = SparkBlockAsyncEngine.blocks(spark, g, PageRank, o, nb)
+      assertSameRun(SparkBlockAsyncEngine.run(spark, g, PageRank, o, numBlocks = nb), async, s"run, blocks=$nb")
+      assertSameRun(SparkBlockAsyncEngine.runOnBlocks(spark, ds, gp, PageRank, o, -1, 100000), async,
+        s"runOnBlocks, blocks=$nb")
+    }
+  }
+
   private def persisted: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
 
   test("run leaves no persisted RDD behind: converged, capped and failing runs") {

@@ -1,8 +1,9 @@
 package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.engine.{PageRank, SSSP}
+import repro.engine.{PageRank, SSSP, SeqEngine}
 import repro.graph.GraphGen
+import repro.order.DefaultOrder
 
 /** Exercises the table-reproduction harness at unit-test scale; the bench
   * suites run the same code on the full analogues.
@@ -64,34 +65,50 @@ class EvalSpec extends AnyFunSuite {
     rows.head.cells.values.foreach(c => assert(c.rounds > 0 && c.runtimeMs >= 0))
   }
 
+  test("timedGrid prepares each column once and runs all its programs before the next column prepares") {
+    val g   = GraphGen.rmat(50, 300, seed = 1)
+    val log = scala.collection.mutable.ArrayBuffer.empty[String]
+    def column(name: String) = Eval.Column(name, h => {
+      log += s"prepare $name"
+      (p, s) => { log += s"run $name ${p.name}"; SeqEngine.async(h, p, DefaultOrder.order(h), s) }
+    })
+    val progs = Seq[repro.engine.VertexProgram](PageRank, SSSP)
+    val rows  = Eval.timedGrid(Seq("g"), _ => g, Seq(column("a"), column("b")), progs)
+    assert(log.toSeq == Seq("a", "b").flatMap(c =>
+      s"prepare $c" +: progs.flatMap(p => Seq.fill(Eval.timedRuns + 1)(s"run $c ${p.name}"))))
+    assert(rows.map(r => (r.graph, r.algo)) == Seq(("g", "PageRank"), ("g", "SSSP")))
+    rows.foreach(r => assert(r.cells("a").rounds == r.cells("b").rounds))
+  }
+
   test("asyncImpact orders rounds: sync >= asyncDefault >= asyncGoGraph") {
     val rows = Eval.asyncImpact(Seq("CP"), GraphGen.datasetSmall, algos = Seq(SSSP))
     val r = rows.head
-    assert(r.syncDef.rounds >= r.asyncDef.rounds)
-    assert(r.asyncDef.rounds >= r.asyncGo.rounds)
+    assert(r.cells("Sync+Def").rounds >= r.cells("Async+Def").rounds)
+    assert(r.cells("Async+Def").rounds >= r.cells("Async+GoGraph").rounds)
   }
 
   test("cacheMiss reports per-method miss counts") {
     val rows = Eval.cacheMiss(Seq("IC"), GraphGen.datasetSmall)
-    assert(rows.head.misses.keySet == Orders.competitors.map(_.name).toSet)
-    rows.head.misses.values.foreach(m => assert(m > 0))
+    assert(rows.head.cells.keySet == Orders.competitors.map(_.name).toSet)
+    rows.head.cells.values.foreach(m => assert(m > 0))
   }
 
   test("partitionCacheImpact: divide phase does not hurt cache behaviour") {
     val rows = Eval.partitionCacheImpact(Seq("WK"), GraphGen.datasetSmall)
     val r = rows.head
-    assert(r.withPart > 0 && r.withoutPart > 0)
+    assert(r.cells("with partition") > 0 && r.cells("without partition") > 0)
   }
 
   test("the Fig 10 table prints the reduction in percent") {
     val table = Eval.renderPartitionCacheImpact(Seq(
-      Eval.PartitionCacheRow("A", 96, 100), Eval.PartitionCacheRow("B", 103, 100)))
+      Eval.Row("A", "", Map("with partition" -> 96L, "without partition" -> 100L)),
+      Eval.Row("B", "", Map("with partition" -> 103L, "without partition" -> 100L))))
     assert(table.contains("4.0%") && table.contains("-3.0%"), table)
   }
 
   test("avgDegreeSweep runs the BA sweep (Fig 12) at small scale") {
     val rows = Eval.avgDegreeSweep(n = 1000, degs = Seq(2, 4), methods = Orders.competitors.take(2))
-    assert(rows.map(_.avgDeg) == Seq(2, 4))
+    assert(rows.map(_.graph) == Seq("2", "4"))
     rows.foreach(r => r.cells.values.foreach(c => assert(c.rounds > 0)))
   }
 
