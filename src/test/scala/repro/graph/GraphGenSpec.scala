@@ -100,10 +100,14 @@ class GraphGenSpec extends AnyFunSuite {
   test("citation edge list is pinned by its checksum") {
     // FNV-1a over (src, dst, weight) of every edge in CSR order; pins the
     // generator's RNG call sequence and its targets' iteration order
-    var h = 0xcbf29ce484222325L
-    def mix(x: Long): Unit = h = (h ^ x) * 0x100000001b3L
-    GraphGen.citation(2000, 5, seed = 7).foreachEdge { (u, v, w) => mix(u); mix(v); mix(w.toLong) }
-    assert(h == -1346470037624524302L)
+    def checksum(g: DiGraph): Long = {
+      var h = 0xcbf29ce484222325L
+      def mix(x: Long): Unit = h = (h ^ x) * 0x100000001b3L
+      g.foreachEdge { (u, v, w) => mix(u); mix(v); mix(w.toLong) }
+      h
+    }
+    assert(checksum(GraphGen.citation(2000, 5, seed = 7)) == -1346470037624524302L)
+    assert(checksum(GraphGen.erdosRenyi(50, 200, seed = 42)) == 937530239293757869L)
   }
 
   test("shuffleIds preserves counts and destroys ID structure") {
