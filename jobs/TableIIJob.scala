@@ -1,7 +1,6 @@
 package repro.jobs
 
 import repro.eval.Eval
-import repro.graph.GraphGen
 
 /** spark-submit entrypoint reproducing Table II: metric M(·) and iteration
   * rounds of PageRank/SSSP/BFS/PHP under the seven reorder methods, on the
@@ -9,8 +8,6 @@ import repro.graph.GraphGen
   * Usage: spark-submit --class repro.jobs.TableIIJob <jar> [small]
   */
 object TableIIJob {
-  def main(args: Array[String]): Unit = {
-    val g = if (args.contains("small")) GraphGen.datasetSmall("CP") else GraphGen.dataset("CP")
-    println(Eval.renderTableII(Eval.tableII(g)))
-  }
+  def main(args: Array[String]): Unit =
+    println(Eval.renderTableII(Eval.tableII(JobArgs.load(args)("CP"))))
 }

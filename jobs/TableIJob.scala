@@ -6,9 +6,6 @@ import repro.eval.Eval
   * Usage: spark-submit --class repro.jobs.TableIJob <jar> [small]
   */
 object TableIJob {
-  def main(args: Array[String]): Unit = {
-    val load = if (args.contains("small")) repro.graph.GraphGen.datasetSmall _
-               else repro.graph.GraphGen.dataset _
-    println(Eval.renderTableI(Eval.tableI(load)))
-  }
+  def main(args: Array[String]): Unit =
+    println(Eval.renderTableI(Eval.tableI(JobArgs.load(args))))
 }

@@ -30,9 +30,7 @@ final case class CacheConfig(
   */
 object CacheSim {
 
-  final case class SweepStats(accesses: Long, misses: Long) {
-    def missRate: Double = if (accesses == 0) 0.0 else misses.toDouble / accesses
-  }
+  final case class SweepStats(accesses: Long, misses: Long)
 
   /** Simulate one full in-neighbor sweep in processing order. */
   def sweep(g: DiGraph, o: VertexOrder, cfg: CacheConfig = CacheConfig()): SweepStats = {

@@ -38,7 +38,7 @@ final class ValInserter(n: Int) {
 
   def size: Int                = nPlaced
   def placed(v: Int): Boolean  = isPlaced(v)
-  def valOf(v: Int): Double    = { require(isPlaced(v), s"node $v not placed"); vals(v) }
+  private[core] def valOf(v: Int): Double = { require(isPlaced(v), s"node $v not placed"); vals(v) }
 
   /** Place `v` at the tail. Splices an already-decided order (subgraph
     * orders, before high-degree / isolated vertices are inserted).

@@ -17,20 +17,6 @@ object GraphGen {
 
   private def weight(rnd: Random): Double = (rnd.nextInt(9) + 1).toDouble
 
-  /** Erdős–Rényi G(n, m): m directed edges drawn uniformly (no self-loops). */
-  def erdosRenyi(n: Int, m: Int, seed: Long): DiGraph = {
-    val rnd = new Random(seed)
-    val src = new Array[Int](m); val dst = new Array[Int](m); val wgt = new Array[Double](m)
-    var e = 0
-    while (e < m) {
-      src(e) = rnd.nextInt(n); dst(e) = rnd.nextInt(n)
-      while (dst(e) == src(e)) dst(e) = rnd.nextInt(n)
-      wgt(e) = weight(rnd)
-      e += 1
-    }
-    DiGraph.fromArrays(n, src, dst, wgt)
-  }
-
   /** R-MAT recursive-quadrant generator (Chakrabarti et al.).
     *
     * Produces power-law web-like graphs. `n` is rounded up to a power of two

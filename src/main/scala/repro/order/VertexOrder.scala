@@ -41,22 +41,6 @@ object VertexOrder {
     new VertexOrder(order.clone(), pos)
   }
 
-  /** Build from `pos(v) = ordinal of vertex v`. */
-  def fromPos(pos: Array[Int]): VertexOrder = {
-    val n     = pos.length
-    val order = new Array[Int](n)
-    java.util.Arrays.fill(order, -1)
-    var v     = 0
-    while (v < n) {
-      val p = pos(v)
-      require(p >= 0 && p < n, s"ordinal $p out of range [0,$n)")
-      require(order(p) == -1, s"ordinal $p assigned twice — not a permutation")
-      order(p) = v
-      v += 1
-    }
-    new VertexOrder(order, pos.clone())
-  }
-
   /** The identity (Default) order. */
   def identity(n: Int): VertexOrder = fromOrder(Array.range(0, n))
 }

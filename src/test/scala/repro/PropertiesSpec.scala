@@ -4,7 +4,7 @@ import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.GoGraph
 import repro.engine.{References, SSSP, SeqEngine}
-import repro.graph.{DiGraph, GraphGen}
+import repro.graph.{DiGraph, GraphGen, RandomGraphs}
 import repro.order._
 import repro.partition.Partitioner
 
@@ -26,7 +26,7 @@ class PropertiesSpec extends AnyFunSuite {
     seed <- Gen.choose(0L, 100000L)
     kind <- Gen.oneOf(0, 1, 2)
   } yield kind match {
-    case 0 => GraphGen.erdosRenyi(n, m, seed)
+    case 0 => RandomGraphs.erdosRenyi(n, m, seed)
     case 1 => GraphGen.rmat(n, m, seed)
     case 2 => GraphGen.citation(n, math.max(1, math.min(3, n - 1)), seed)
   }
@@ -76,9 +76,7 @@ class PropertiesSpec extends AnyFunSuite {
       val g2   = g.relabel(perm)
       // order o on g corresponds to order o∘perm⁻¹ on g2
       val o  = VertexOrder.fromOrder(GraphGen.randomPermutation(g.numVertices, s + 1))
-      val o2 = VertexOrder.fromPos(Array.tabulate(g.numVertices)(v2 => {
-        val v = perm.indexOf(v2); o.pos(v)
-      }))
+      val o2 = VertexOrder.fromOrder(o.order.map(perm))
       Metric.positiveEdges(g, o) == Metric.positiveEdges(g2, o2)
     })
   }

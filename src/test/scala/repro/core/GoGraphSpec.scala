@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{DiGraph, GraphGen}
+import repro.graph.{DiGraph, GraphGen, RandomGraphs}
 import repro.order._
 import repro.partition.{Fennel, Louvain, MetisLike, Partitioner, RabbitPartition}
 
@@ -50,7 +50,7 @@ class GoGraphSpec extends AnyFunSuite {
   test("Theorem 2: M(GoGraph) >= |E|/2 on diverse graphs") {
     val graphs = Seq(
       GraphGen.rmat(300, 2400, seed = 61),
-      GraphGen.erdosRenyi(300, 2400, seed = 62),
+      RandomGraphs.erdosRenyi(300, 2400, seed = 62),
       GraphGen.citation(500, 4, seed = 63),
       GraphGen.shuffleIds(GraphGen.barabasiAlbert(300, 5, seed = 64), seed = 65),
       GraphGen.datasetSmall("CP"),

@@ -1,7 +1,7 @@
 package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{DiGraph, GraphGen}
+import repro.graph.{DiGraph, GraphGen, RandomGraphs}
 import repro.order.{DefaultOrder, VertexOrder}
 
 /** Reference implementations for cross-checking the engines. */
@@ -99,7 +99,7 @@ class SeqEngineSpec extends AnyFunSuite {
   }
 
   test("sync SSSP matches Dijkstra on a random weighted graph") {
-    val g = GraphGen.erdosRenyi(200, 1200, seed = 70)
+    val g = RandomGraphs.erdosRenyi(200, 1200, seed = 70)
     val src = 0
     val res = SeqEngine.sync(g, SSSP, src)
     assert(res.converged)

@@ -169,7 +169,7 @@ class DiGraphSpec extends SparkSpec {
   }
 
   test("relabel keeps degree multiset") {
-    val g    = GraphGen.erdosRenyi(50, 200, seed = 7)
+    val g    = RandomGraphs.erdosRenyi(50, 200, seed = 7)
     val perm = GraphGen.randomPermutation(50, seed = 8)
     val g2   = g.relabel(perm)
     assert(g.edges.map(_._1).groupBy(identity).values.map(_.size).toSeq.sorted ==
@@ -238,7 +238,7 @@ class DiGraphSpec extends SparkSpec {
 
   test("edgesDF degree query matches DuckDB oracle") {
     import org.apache.spark.sql.functions._
-    val g  = GraphGen.erdosRenyi(30, 120, seed = 3)
+    val g  = RandomGraphs.erdosRenyi(30, 120, seed = 3)
     val df = g.edgesDF(spark)
     val outDeg = df.groupBy("src").agg(count(lit(1)).as("out_deg"))
     repro.Oracle.assertEquivalent(

@@ -6,25 +6,25 @@ import repro.order.{DefaultOrder, Metric}
 class GraphGenSpec extends AnyFunSuite {
 
   test("erdosRenyi has requested vertex and edge counts") {
-    val g = GraphGen.erdosRenyi(100, 500, seed = 1)
+    val g = RandomGraphs.erdosRenyi(100, 500, seed = 1)
     assert(g.numVertices == 100)
     assert(g.numEdges == 500)
   }
 
   test("erdosRenyi is deterministic in the seed") {
-    val a = GraphGen.erdosRenyi(50, 200, seed = 42)
-    val b = GraphGen.erdosRenyi(50, 200, seed = 42)
+    val a = RandomGraphs.erdosRenyi(50, 200, seed = 42)
+    val b = RandomGraphs.erdosRenyi(50, 200, seed = 42)
     assert(a.edges == b.edges)
   }
 
   test("erdosRenyi differs across seeds") {
-    val a = GraphGen.erdosRenyi(50, 200, seed = 1)
-    val b = GraphGen.erdosRenyi(50, 200, seed = 2)
+    val a = RandomGraphs.erdosRenyi(50, 200, seed = 1)
+    val b = RandomGraphs.erdosRenyi(50, 200, seed = 2)
     assert(a.edges != b.edges)
   }
 
   test("erdosRenyi has no self-loops") {
-    val g = GraphGen.erdosRenyi(20, 100, seed = 5)
+    val g = RandomGraphs.erdosRenyi(20, 100, seed = 5)
     g.foreachEdge((u, v, _) => assert(u != v))
   }
 
@@ -43,7 +43,7 @@ class GraphGenSpec extends AnyFunSuite {
 
   test("rmat with default skew produces a heavier max degree than erdosRenyi") {
     val r  = GraphGen.rmat(500, 3000, seed = 4)
-    val er = GraphGen.erdosRenyi(500, 3000, seed = 4)
+    val er = RandomGraphs.erdosRenyi(500, 3000, seed = 4)
     val maxR  = (0 until 500).map(r.degree).max
     val maxEr = (0 until 500).map(er.degree).max
     assert(maxR > maxEr, s"rmat max degree $maxR should exceed ER $maxEr")
@@ -107,7 +107,7 @@ class GraphGenSpec extends AnyFunSuite {
       h
     }
     assert(checksum(GraphGen.citation(2000, 5, seed = 7)) == -1346470037624524302L)
-    assert(checksum(GraphGen.erdosRenyi(50, 200, seed = 42)) == 937530239293757869L)
+    assert(checksum(RandomGraphs.erdosRenyi(50, 200, seed = 42)) == 937530239293757869L)
   }
 
   test("shuffleIds preserves counts and destroys ID structure") {

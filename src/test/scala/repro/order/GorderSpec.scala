@@ -2,7 +2,7 @@ package repro.order
 
 import scala.collection.mutable
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{DiGraph, GraphGen}
+import repro.graph.{DiGraph, GraphGen, RandomGraphs}
 
 class GorderSpec extends AnyFunSuite {
 
@@ -74,7 +74,7 @@ class GorderSpec extends AnyFunSuite {
     val graphs = Seq(
       "rmat(300, 2400, 30)"       -> GraphGen.rmat(300, 2400, seed = 30),
       "rmat(200, 1500, 33)"       -> GraphGen.rmat(200, 1500, seed = 33),
-      "erdosRenyi(500, 1500, 7)"  -> GraphGen.erdosRenyi(500, 1500, seed = 7),
+      "erdosRenyi(500, 1500, 7)"  -> RandomGraphs.erdosRenyi(500, 1500, seed = 7),
       "citation(3000, 5, 3)"      -> GraphGen.citation(3000, 5, seed = 3),
       "community(31)"             -> communityGraph(seed = 31),
       "edgeless(6)"               -> DiGraph.unweighted(6, Seq.empty),

@@ -1,7 +1,7 @@
 package repro.order
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{DiGraph, GraphGen}
+import repro.graph.{DiGraph, GraphGen, RandomGraphs}
 
 class RabbitOrderSpec extends AnyFunSuite {
 
@@ -61,7 +61,7 @@ class RabbitOrderSpec extends AnyFunSuite {
 
   test("bfsWithin visits exactly the requested set") {
     // the label-restricted BFS that RabbitOrder runs over each community
-    val g  = GraphGen.erdosRenyi(50, 200, seed = 45)
+    val g  = RandomGraphs.erdosRenyi(50, 200, seed = 45)
     val vs = Array.range(0, 25)
     val visited = g.bfsOrder(vs)((_, u) => u < 25)
     assert(visited.sorted.toSeq == vs.toSeq)

@@ -1,7 +1,7 @@
 package repro.order
 
 import repro.SparkSpec
-import repro.graph.{DiGraph, GraphGen}
+import repro.graph.{DiGraph, GraphGen, RandomGraphs}
 
 class VertexOrderSpec extends SparkSpec {
 
@@ -13,18 +13,6 @@ class VertexOrderSpec extends SparkSpec {
   test("fromOrder computes the inverse pos array") {
     val o = VertexOrder.fromOrder(Array(2, 0, 1))
     assert(o.pos.toSeq == Seq(1, 2, 0))
-  }
-
-  test("fromPos computes the inverse order array") {
-    val o = VertexOrder.fromPos(Array(1, 2, 0))
-    assert(o.order.toSeq == Seq(2, 0, 1))
-  }
-
-  test("fromOrder and fromPos are mutually inverse") {
-    val perm = GraphGen.randomPermutation(40, seed = 1)
-    val a = VertexOrder.fromOrder(perm)
-    val b = VertexOrder.fromPos(a.pos)
-    assert(a.order.toSeq == b.order.toSeq)
   }
 
   test("duplicate vertices are rejected") {
@@ -97,14 +85,14 @@ class VertexOrderSpec extends SparkSpec {
   // ---- DataFrame twin, oracle-checked ----
 
   test("positiveEdgesDF equals driver-side M") {
-    val g = GraphGen.erdosRenyi(60, 300, seed = 17)
+    val g = RandomGraphs.erdosRenyi(60, 300, seed = 17)
     val o = VertexOrder.fromOrder(GraphGen.randomPermutation(60, seed = 18))
     val df = Metric.positiveEdgesDF(g.edgesDF(spark), o.toDF(spark))
     assert(df.head().getLong(0) == Metric.positiveEdges(g, o))
   }
 
   test("positiveEdgesDF matches the DuckDB oracle") {
-    val g = GraphGen.erdosRenyi(40, 200, seed = 19)
+    val g = RandomGraphs.erdosRenyi(40, 200, seed = 19)
     val o = VertexOrder.fromOrder(GraphGen.randomPermutation(40, seed = 20))
     val edges = g.edgesDF(spark)
     val ord   = o.toDF(spark)
